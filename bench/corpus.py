@@ -8,10 +8,12 @@ change the inputs.  The same seed gives byte-identical spec text.
 Draws that decide how expensive or how fragile a spec is (how many atoms,
 whether an atom sits next to 1 and on which side, whether anything else lies
 above 1, where the largest point lies, whether c is zero) are stratified:
-each seed gets the same number of specs in every such cell, and quantiles
-are spread evenly inside it.  The distribution is unchanged; only the
-seed-to-seed variation of the counts that dominate the timings (beta-scan
-hangs, the near-1 beta error, the q_poly_log domain error) is taken out.
+each seed gets the same number of specs in every such cell, and the
+quantiles of the draws that set the cost inside it (distance to 1, largest
+point, masses, c, b) are spread evenly.  The distribution is unchanged;
+only the seed-to-seed variation of the counts that dominate the timings
+(beta-scan hangs, the near-1 beta error, the q_poly_log domain error) and of
+the latency quantiles is taken out.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from dataclasses import dataclass
 FUZZ_POINT_LO, FUZZ_POINT_HI = 1e-3, 20.0
 P_BELOW_ONE = math.log(1.0 / FUZZ_POINT_LO) / math.log(FUZZ_POINT_HI / FUZZ_POINT_LO)
 NEAR_ONE_LO, NEAR_ONE_HI = 1e-9, 1e-2
+# side of the extra atom next to 1 (30% of the fuzz specs get one)
+NEAR_ONE_MIX = {"none": 0.70, "below": 0.15, "above": 0.15}
 MASS_LO, MASS_HI = 1e-6, 1e2
 
 
@@ -46,13 +50,15 @@ def spec_text(b: float, c: float, atoms) -> str:
     return json.dumps({"b": b, "c": c, "nu": {"atoms": [[p, m] for p, m in atoms]}})
 
 
-def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+def _log_scale(u: float, lo: float, hi: float) -> float:
+    """The point at quantile u of the log-uniform distribution on [lo, hi]."""
+    return math.exp(math.log(lo) + u * math.log(hi / lo))
 
 
-def _strata(rng: random.Random, count: int) -> list[float]:
-    """count points in [0, 1), one per equal-width stratum, in random order."""
-    pts = [(k + rng.random()) / count for k in range(count)]
+def _strata(rng: random.Random, count: int, centered: bool = False) -> list[float]:
+    """count points in [0, 1), one per equal-width stratum (at its middle when
+    centered), in random order."""
+    pts = [(k + (0.5 if centered else rng.random())) / count for k in range(count)]
     rng.shuffle(pts)
     return pts
 
@@ -98,15 +104,16 @@ def _random_type_iii(rng: random.Random, atoms=None):
     return b, c, atoms
 
 
-def _draw_b(rng: random.Random, c: float, atoms) -> float:
-    """b uniform in [0, 2]; one time in five, when the admissible-b table allows
-    it, halfway into the negative range instead.
+def _draw_b(rng: random.Random, c: float, atoms, u: float | None = None) -> float:
+    """b uniform in [0, 2] (2u when the caller stratifies u); one time in five,
+    when the admissible-b table allows it, halfway into the negative range
+    instead.
 
     With c = 0, supp nu in [0, 1) and second resolvent sum i2 < 1, every
     b >= i1 (first resolvent sum, negative) is admissible; |i1| <= i2 < 1
     keeps gamma_1 = 1 + b positive.
     """
-    b = rng.uniform(0.0, 2.0)
+    b = rng.uniform(0.0, 2.0) if u is None else 2.0 * u
     if (
         rng.random() < 0.2
         and c == 0.0
@@ -149,7 +156,7 @@ def _wab_member(rng: random.Random, kind: str):
 TRIAGE_MIX = {"random": 0.40, "forced": 0.15, "perturbed": 0.15, "wab": 0.15, "near_one": 0.15}
 
 
-def triage_cases(seed: int, count: int = 6000) -> list[Case]:
+def triage_cases(seed: int, count: int = 1000) -> list[Case]:
     rng = random.Random(f"triage-{seed}")
     sizes = _allocate(count, TRIAGE_MIX)
     cases: list[Case] = []
@@ -174,7 +181,8 @@ def triage_cases(seed: int, count: int = 6000) -> list[Case]:
         kind = "I" if i < n_type_i else "II"
         (b, c, atoms), sub = _wab_member(rng, kind)
         cases.append(Case((spec_text(b, c, atoms),), {"type": kind, "subnormal": sub}, "wab"))
-    for u, side in zip(_strata(rng, sizes["near_one"]), _alternating(sizes["near_one"])):
+    near_one = _strata(rng, sizes["near_one"], centered=True)
+    for u, side in zip(near_one, _alternating(sizes["near_one"])):
         d = math.exp(math.log(1e-4) + u * math.log(10.0))
         base = [(p, m) for p, m in _conftest_atoms(rng, n_max=2)]
         atoms = sorted(base + [(1.0 + side * d, rng.uniform(0.1, 2.0))])
@@ -199,7 +207,7 @@ def _fuzz_cells() -> dict:
     cells = {}
     for k in (1, 2, 3):
         below = P_BELOW_ONE**k
-        for near, p_near in (("none", 0.70), ("below", 0.15), ("above", 0.15)):
+        for near, p_near in NEAR_ONE_MIX.items():
             for top, p_top in (("below", below), ("above", 1.0 - below)):
                 cells[(k, near, top)] = p_near * p_top / 3.0
     return cells
@@ -224,33 +232,75 @@ def _base_points(rng: random.Random, k: int, top: str, v: float) -> list[float]:
             return sorted(pts)
 
 
-def fuzz_triplets(rng: random.Random, count: int, above_one=None) -> list[tuple]:
+def fuzz_slots(count: int, above_one=None, near=None) -> list[tuple]:
+    """The cells of count fuzz triplets, in proportion to their probabilities.
+
+    above_one=True/False conditions on the top atom lying above 1 or not,
+    near="none"/"below"/"above" on the side of the atom next to 1 (whole
+    cells are kept, so the sample stays stratified).
+    """
+    cells = {
+        cell: p
+        for cell, p in _fuzz_cells().items()
+        if (above_one is None or above_one == ("above" in cell[1:]))
+        and (near is None or near == cell[1])
+    }
+    return [cell for cell, n in sorted(_allocate(count, cells).items()) for _ in range(n)]
+
+
+def near_one_grid(slots) -> dict:
+    """Distance-to-1 quantiles for the atoms next to 1, ascending: the middles
+    of equal strata of each (side, support above 1) group of slots.
+
+    The counts that decide hangs and kernel errors (each a window of
+    distances) are then the same on every seed.  Several fuzz_triplets draws
+    can share one grid; each takes an evenly spread part of what is left.
+    """
+    grid = {}
+    for group in sorted({cell[1:] for cell in slots if cell[1] != "none"}):
+        n = sum(cell[1:] == group for cell in slots)
+        grid[group] = [(k + 0.5) / n for k in range(n)]
+    return grid
+
+
+def _take_spread(values: list, m: int) -> list:
+    """Remove and return m of values, at evenly spread positions."""
+    picks = [int((j + 0.5) * len(values) / m) for j in range(m)]
+    taken = [values[i] for i in picks]
+    for i in reversed(picks):
+        del values[i]
+    return taken
+
+
+def fuzz_triplets(
+    rng: random.Random, count: int, above_one=None, near=None, grid=None
+) -> list[tuple]:
     """count (b, c, atoms) triplets from the fuzz distribution, stratified.
 
     Points log-uniform in [1e-3, 20] (one to three), 30% of triplets with an
     extra atom 1e-9 to 1e-2 from 1 (either side), masses log-uniform in
     [1e-6, 1e2], c = 0 or log-uniform in [1e-6, 1e2] with equal odds, b as in
-    _draw_b.  above_one=True/False conditions on the top atom lying above 1
-    or not (whole cells are kept, so the sample stays stratified).
+    _draw_b.  above_one and near condition the draw as in fuzz_slots; grid
+    (from near_one_grid, consumed) shares the distances to 1 with other draws.
     """
-    cells = {
-        cell: p
-        for cell, p in _fuzz_cells().items()
-        if above_one is None or above_one == ("above" in cell[1:])
-    }
-    slots = [cell for cell, n in sorted(_allocate(count, cells).items()) for _ in range(n)]
-    # distance quantiles are spread over each (side, support above 1) group, so
-    # the counts that decide hangs and kernel errors are fixed per seed
+    slots = fuzz_slots(count, above_one, near)
+    grid = near_one_grid(slots) if grid is None else grid
     dists = {}
-    for group in sorted({(near, top) for _, near, top in slots}):
-        dists[group] = _strata(rng, sum(1 for _, n, t in slots if (n, t) == group))
+    for group in sorted({cell[1:] for cell in slots if cell[1] != "none"}):
+        dists[group] = _take_spread(grid[group], sum(cell[1:] == group for cell in slots))
+        rng.shuffle(dists[group])
     tops = {cell: _strata(rng, slots.count(cell)) for cell in sorted(set(slots))}
-    czeros = {}
+    # masses (by rank of the point), c and b are stratified inside each cell
+    # too: they set how long the beta scan and the log_gamma prefixes run
+    czeros, cvals, masses, bs = {}, {}, {}, {}
     for cell in sorted(set(slots)):
         n = slots.count(cell)
         n_czero = (n + rng.randint(0, 1)) // 2
         czeros[cell] = [j < n_czero for j in range(n)]
         rng.shuffle(czeros[cell])
+        cvals[cell] = _strata(rng, n - n_czero)
+        masses[cell] = [_strata(rng, n) for _ in range(cell[0] + (cell[1] != "none"))]
+        bs[cell] = _strata(rng, n)
     out = []
     for cell in slots:
         k, near, top = cell
@@ -261,9 +311,11 @@ def fuzz_triplets(rng: random.Random, count: int, above_one=None) -> list[tuple]
             x = 1.0 + d if near == "above" else 1.0 - d
             if x not in pts:
                 pts = sorted(pts + [x])
-        atoms = [(p, _log_uniform(rng, MASS_LO, MASS_HI)) for p in pts]
-        c = 0.0 if czeros[cell].pop() else _log_uniform(rng, MASS_LO, MASS_HI)
-        out.append((_draw_b(rng, c, atoms), c, atoms))
+        atoms = [
+            (p, _log_scale(us.pop(), MASS_LO, MASS_HI)) for p, us in zip(pts, masses[cell])
+        ]
+        c = 0.0 if czeros[cell].pop() else _log_scale(cvals[cell].pop(), MASS_LO, MASS_HI)
+        out.append((_draw_b(rng, c, atoms, bs[cell].pop()), c, atoms))
     rng.shuffle(out)
     return out
 
@@ -297,7 +349,7 @@ PINNED_FUZZ = (
 )
 
 
-def similar_fuzz_cases(seed: int, count: int = 420) -> list[Case]:
+def similar_fuzz_cases(seed: int, count: int = 150) -> list[Case]:
     """The pinned specs first (so a traced prefix of the list holds them), then
     count seeded fuzz draws."""
     rng = random.Random(f"similar_fuzz-{seed}")
@@ -347,7 +399,7 @@ def _dominates(atom, b: float, c: float, rest, n: int = WINDOW_START) -> bool:
     )
 
 
-def compare_pairs_cases(seed: int, count: int = 240) -> list[Case]:
+def compare_pairs_cases(seed: int, count: int = 80) -> list[Case]:
     """Pairs of fuzz triplets, a quarter of each family.
 
     scaled: masses times k in [0.5, 2] with top atom above 1, so the moment
@@ -359,31 +411,43 @@ def compare_pairs_cases(seed: int, count: int = 240) -> list[Case]:
     """
     rng = random.Random(f"compare_pairs-{seed}")
     sizes = _allocate(count, PAIR_MIX)
-    # one stratified draw per pool, so the pool's error and cost counts are
-    # fixed; the families take consecutive slices of the shuffled pool
-    above = fuzz_triplets(rng, sizes["scaled"] + sizes["extra_atom"], above_one=True)
-    pool = fuzz_triplets(rng, sizes["b_shift"] + 2 * sizes["independent"])
+    # independent pairs: the (first, second) sides of the atom next to 1 are
+    # allocated over their product distribution, so the pair-type counts are
+    # fixed (a triplet with an atom just below 1 costs about 3x the others)
+    sides = {(x, y): px * py for x, px in NEAR_ONE_MIX.items() for y, py in NEAR_ONE_MIX.items()}
+    pair_sides = sorted(_allocate(sizes["independent"], sides).items())
+    # one stratified draw per family and pair side, all from one grid of
+    # distances to 1, so each family's error and cost counts are fixed
+    draws = [(sizes["scaled"], True), (sizes["extra_atom"], True), (sizes["b_shift"], None)]
+    draws += [(m, None, side) for (x, y), m in pair_sides for side in (x, y)]
+    grid = near_one_grid([cell for draw in draws for cell in fuzz_slots(*draw)])
     cases: list[Case] = []
-    for b, c, atoms in above[: sizes["scaled"]]:
-        k = rng.uniform(0.5, 2.0)
+    scales = _strata(rng, sizes["scaled"])
+    for b, c, atoms in fuzz_triplets(rng, sizes["scaled"], above_one=True, grid=grid):
+        k = 0.5 + 1.5 * scales.pop()
         scaled = [(p, m * k) for p, m in atoms]
         settled = all(_dominates(t[-1], b, c, t[:-1]) for t in (atoms, scaled))
         label = {"similar": True} if settled else {}
         cases.append(Case((spec_text(b, c, atoms), spec_text(b, c, scaled)), label, "scaled"))
-    for b, c, atoms in above[sizes["scaled"] :]:
-        extra = (atoms[-1][0] + 0.5 + rng.uniform(0.0, 5.0), _log_uniform(rng, MASS_LO, MASS_HI))
+    gaps, extra_masses = _strata(rng, sizes["extra_atom"]), _strata(rng, sizes["extra_atom"])
+    for b, c, atoms in fuzz_triplets(rng, sizes["extra_atom"], above_one=True, grid=grid):
+        extra = (
+            atoms[-1][0] + 0.5 + 5.0 * gaps.pop(),
+            _log_scale(extra_masses.pop(), MASS_LO, MASS_HI),
+        )
         label = {"similar": False} if _dominates(extra, b, c, atoms) else {}
         pair = (spec_text(b, c, atoms), spec_text(b, c, atoms + [extra]))
         cases.append(Case(pair if rng.random() < 0.5 else pair[::-1], label, "extra_atom"))
-    for b, c, atoms in pool[: sizes["b_shift"]]:
+    for b, c, atoms in fuzz_triplets(rng, sizes["b_shift"], grid=grid):
         # b + 0.1 always validates (gamma grows with b); b - 0.1 only while b >= 0.1
         shift = 0.1 if (b < 0.1 or rng.random() < 0.5) else -0.1
         cases.append(
             Case((spec_text(b, c, atoms), spec_text(b + shift, c, atoms)), {}, "b_shift")
         )
-    rest = pool[sizes["b_shift"] :]
-    for first, second in zip(rest[0::2], rest[1::2]):
-        cases.append(Case((spec_text(*first), spec_text(*second)), {}, "independent"))
+    for (x, y), m in pair_sides:
+        firsts = fuzz_triplets(rng, m, near=x, grid=grid)
+        for first, second in zip(firsts, fuzz_triplets(rng, m, near=y, grid=grid)):
+            cases.append(Case((spec_text(*first), spec_text(*second)), {}, "independent"))
     rng.shuffle(cases)
     return cases
 

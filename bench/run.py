@@ -1,6 +1,6 @@
 """cpdshift benchmark: batch workloads through the CLI report path.
 
-    python3 bench/run.py --workload triage --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload similar_fuzz --seed 1 --seconds 55 --trace 0
 
 Run from the root of a source tree (the library is imported from ./src).  One
 process, one thread, a closed loop with one caller: each spec goes through
@@ -130,9 +130,10 @@ class Workload:
     wrong: Callable
     decided_keys: tuple
     budget_s: float
-    # fixed tail percentile: the highest of p99/p95/p90 with at least ten specs
-    # beyond it that still lies above the seed commit's failure share, so it
-    # reads a measured latency and not the budget
+    # fixed tail percentile: the highest of p95/p90/p85/p80 with at least ten
+    # successful specs beyond it at the seed commit, so it reads a measured
+    # latency and not the budget, and a failure more or less moves it by one
+    # rank among many
     tail_pct: float
     setup_args: tuple
     # the traced run covers the first trace_specs cases (the corpus is shuffled)
@@ -140,7 +141,7 @@ class Workload:
 
 
 WORKLOADS = {
-    # successful runs <= 20 ms at the seed commit and nothing hangs: 0.1 s is
+    # successful specs <= 20 ms at the seed commit and nothing hangs: 0.1 s is
     # 5x above the slowest
     "triage": Workload(
         run_triage, triage_wrong, ("classify", "subnormal"), 0.1, 95.0,
@@ -150,12 +151,12 @@ WORKLOADS = {
     # mass); the beta-scan hangs on the O(n) Horner kernel run > 20 s: 0.6 s
     # sits 3.2x above the one and 33x below the other
     "similar_fuzz": Workload(
-        run_similar, similar_wrong, ("similar",), 0.6, 90.0, ("similar", SMALL_SPEC), 120
+        run_similar, similar_wrong, ("similar",), 0.6, 80.0, ("similar", SMALL_SPEC), 120
     ),
-    # successful runs <= 0.22 s and nothing hangs: 1 s is 4.5x above the slowest
+    # successful pairs <= 0.22 s and nothing hangs: 1 s is 4.5x above the slowest
     "compare_pairs": Workload(
-        run_compare, compare_wrong, ("compare",), 1.0, 95.0,
-        ("compare", SMALL_SPEC, SMALL_SPEC_B), 120,
+        run_compare, compare_wrong, ("compare",), 1.0, 80.0,
+        ("compare", SMALL_SPEC, SMALL_SPEC_B), 80,
     ),
 }
 
@@ -190,15 +191,15 @@ class RunStats:
         return counts
 
     def latencies_ms(self, budget_ms: float) -> list:
-        """Per-spec latency: the median of its executions, the budget if it failed."""
+        """Per-spec latency: the fastest of its executions, the budget if it failed."""
         return [
-            budget_ms if i in self.failure else statistics.median(times)
+            budget_ms if i in self.failure else min(times)
             for i, times in self.elapsed_ms.items()
         ]
 
     def pass_seconds(self) -> float:
-        """One pass at every spec's median execution time, failures as they ran."""
-        return sum(statistics.median(times) for times in self.elapsed_ms.values()) / 1000.0
+        """One pass at every spec's fastest execution time, failures as they ran."""
+        return sum(min(times) for times in self.elapsed_ms.values()) / 1000.0
 
 
 def innermost_layer(exc: BaseException) -> str:
@@ -301,8 +302,9 @@ def end_to_end(name: str, workload: Workload, cases, seconds: float, cli) -> tup
 
     A spec that ran into the budget is not run again: the gap the budget sits
     in makes that outcome certain, and it is scored at the budget anyway.
-    Every other spec's latency is the median of its runs, which damps the
-    bursts of a shared machine.
+    Every other spec's latency is the fastest of its runs: on a shared
+    machine the same spec runs up to 1.6x slower from one moment to the next,
+    and the fastest of many runs spread over the whole run is what repeats.
     """
     cold_starts(workload.setup_args, 1)  # warms the file cache and writes bytecode
     spawns = cold_starts(workload.setup_args, SETUP_SPAWNS // 3)
