@@ -10,13 +10,9 @@ from .core import (
     ScalarTriplet,
     ShiftSequences,
     TypeLabel,
-    beta,
     classify_type,
     diagonal_triplet,
-    gamma,
-    sequences,
     validate_triplet,
-    weight,
 )
 from .measures import AtomicMeasure, ResolventIntegrals, point_mass, zero_measure
 from .qpoly import q_poly, q_recurrence_check
@@ -39,6 +35,7 @@ from .similarity import (
     criterion_nyttrs,
     criterion_weight_band,
     defect_moment_measure,
+    example_t0,
     model_subnormal,
     similar_by_beta,
 )
@@ -61,7 +58,6 @@ from .verdict import (
 from .wab import (
     GrowthFamilyExample,
     WabClassification,
-    example_t0,
     generate_3uwre,
     wab_classify,
     wab_weight_list,
@@ -93,7 +89,6 @@ __all__ = [
     "as_moment_source",
     "b2_identity_check",
     "berger_measure",
-    "beta",
     "classify_type",
     "criterion_ineqsuf",
     "criterion_kdwq",
@@ -103,7 +98,6 @@ __all__ = [
     "diagonal_triplet",
     "dichotomy_check",
     "example_t0",
-    "gamma",
     "generate_3uwre",
     "hankel_psd_oracle",
     "intertwiner_check",
@@ -115,7 +109,6 @@ __all__ = [
     "q_poly",
     "q_recurrence_check",
     "quasi_affine_test",
-    "sequences",
     "shift_matrix",
     "similar_by_beta",
     "similarity_test",
@@ -123,6 +116,5 @@ __all__ = [
     "wab_classify",
     "wab_weight_list",
     "wab_weights",
-    "weight",
     "zero_measure",
 ]

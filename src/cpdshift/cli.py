@@ -15,10 +15,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .core import ScalarTriplet, ShiftSequences, classify_type, validate_triplet
-from .quasiaffine import intertwiner_defect, quasi_affine_test, similarity_test
+from .quasiaffine import intertwiner_defect, similarity_test
 from .similarity import (
     ModelDegenerateError,
     b2_identity_check,
@@ -60,18 +58,14 @@ def to_jsonable(obj):
     """Recursively convert report objects to plain JSON data."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if hasattr(obj, "to_json"):
         return to_jsonable(obj.to_json())
+    if hasattr(obj, "tolist"):  # numpy scalars and arrays
+        return to_jsonable(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -280,18 +274,22 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
 
 def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[dict, int]:
     report: dict = {"command": "compare", "input_a": ta, "input_b": tb}
+    seqs = []
     for name, t in (("a", ta), ("b", tb)):
         v = validate_triplet(t)
         report[f"valid_{name}"] = v
         if not v.is_yes:
             report["verdict"] = "InvalidTriplet"
             return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
+        seqs.append(ShiftSequences(t, validation=v))
+    seqs_a, seqs_b = seqs
+    sim = similarity_test(seqs_a, seqs_b, n_max)
     # quasi_affine_test(x, y) bounds the y-moments by the x-moments, i.e. it
-    # decides whether x is a quasi-affine transform of y
-    report["a_transform_of_b"] = quasi_affine_test(ta, tb, n_max)
-    report["b_transform_of_a"] = quasi_affine_test(tb, ta, n_max)
-    sim = similarity_test(ta, tb, n_max)
-    defect, scale = intertwiner_defect(ta, tb, m=32)
+    # decides whether x is a quasi-affine transform of y; similarity_test ran
+    # it both ways
+    report["a_transform_of_b"] = sim.witness["forward"]
+    report["b_transform_of_a"] = sim.witness["backward"]
+    defect, scale = intertwiner_defect(seqs_a, seqs_b, m=32)
     report["similarity"] = sim
     report["intertwiner"] = {
         "defect": defect,

@@ -235,8 +235,20 @@ def _log_gamma_value(t: ScalarTriplet, n: int) -> float:
     return top + math.log(total)
 
 
+def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
+    """nu plus the atom (1, 2c): the measure whose moments are gamma_n * beta_n."""
+    if t.c > 0.0:
+        return AtomicMeasure.from_atoms(tuple(t.nu.atoms) + ((1.0, 2.0 * t.c),))
+    return t.nu
+
+
 class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
+
+    This is the single per-triplet owner of the validation verdict, of the
+    memoized gamma / log gamma values and of the defect measure nu + 2c at 1;
+    criteria, moment sources and reports take one instance (``seqs=``)
+    instead of validating and evaluating the triplet again.
 
     Each gamma is evaluated from the closed formula (no cumulative products);
     values past double-precision range are served in the log domain.  Memoized
@@ -251,6 +263,7 @@ class ShiftSequences:
             )
         self.triplet = triplet
         self.validation = v
+        self.defect_measure = defect_moment_measure(triplet)
         self._lock = threading.Lock()
         self._gamma: dict[int, float] = {}
         self._log_gamma: dict[int, float] = {}
@@ -280,19 +293,10 @@ class ShiftSequences:
 
     def beta_numerator(self, n: int) -> float:
         """2c + n-th moment of nu: the second difference of gamma."""
-        return 2.0 * self.triplet.c + self.triplet.nu.moment(n)
+        return self.defect_measure.moment(n)
 
     def log_beta_numerator(self, n: int) -> float:
-        terms = []
-        if self.triplet.c > 0.0:
-            terms.append(math.log(2.0 * self.triplet.c))
-        for p, w in self.triplet.nu.atoms:
-            if p > 0.0 or n == 0:
-                terms.append(math.log(w) + (0.0 if n == 0 else n * math.log(p)))
-        if not terms:
-            return -math.inf
-        top = max(terms)
-        return top + math.log(math.fsum(math.exp(x - top) for x in terms))
+        return self.defect_measure.log_moment(n)
 
     def beta(self, n: int) -> float:
         """Defect beta_n, computed both from the weights and in closed form.
@@ -325,26 +329,10 @@ class ShiftSequences:
         return [self.gamma(n) for n in range(count)]
 
 
-def sequences(t: ScalarTriplet) -> ShiftSequences:
-    return ShiftSequences(t)
-
-
 def require_valid(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> None:
     """Raise InvalidTripletError unless t generates a positive moment sequence."""
     if seqs is None:
         ShiftSequences(t)
-
-
-def gamma(t: ScalarTriplet, n: int) -> float:
-    return ShiftSequences(t).gamma(n)
-
-
-def weight(t: ScalarTriplet, n: int) -> float:
-    return ShiftSequences(t).weight(n)
-
-
-def beta(t: ScalarTriplet, n: int) -> float:
-    return ShiftSequences(t).beta(n)
 
 
 def classify_type(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> TypeLabel:

@@ -53,14 +53,22 @@ def q_poly(n: int, x: float) -> float:
 
 
 def q_poly_log(n: int, x: float) -> float:
-    """log of q_poly(n, x) for x > 1, stable for n far beyond double overflow."""
+    """log of q_poly(n, x) for x > 1, stable for n far beyond double overflow.
+
+    With d = x - 1, q = C(n,2) (1 + (n-2)d/3 (1 + (n-3)d/4 (1 + (n-4)d/5 ...)))
+    while n d is small; otherwise q = (1+d)^n (1 - (1 + n d)/(1+d)^n) / d^2,
+    with the inner ratio taken through log1p/expm1 so that no step cancels.
+    """
     if x <= 1.0:
         raise ValueError("log evaluation requires x > 1")
     if n < 2:
         return -math.inf
-    # q = x^n (1 - (1 + n(x-1))/x^n) / (x-1)^2, and the inner ratio is < 1.
-    ratio = math.exp(math.log1p(n * (x - 1.0)) - n * math.log(x))
-    return n * math.log(x) + math.log1p(-ratio) - 2.0 * math.log(x - 1.0)
+    d = x - 1.0
+    if n * d <= 1e-3:  # the series tail past d^3 is below 1e-14 relative
+        inner = (n - 2) * d / 3.0 * (1.0 + (n - 3) * d / 4.0 * (1.0 + (n - 4) * d / 5.0))
+        return math.log(n * (n - 1) / 2.0) + math.log1p(inner)
+    log_pow = n * math.log1p(d)
+    return log_pow + math.log(-math.expm1(math.log1p(n * d) - log_pow)) - 2.0 * math.log(d)
 
 
 def q_recurrence_check(n: int, x: float, tol: float = 1e-10) -> bool:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import ScalarTriplet, ShiftSequences
 from .measures import AtomicMeasure
 from .similarity import ModelShift
@@ -46,8 +44,9 @@ class MomentSource:
         return self.log_moment_fn(n)
 
     @classmethod
-    def from_triplet(cls, t: ScalarTriplet) -> "MomentSource":
-        seqs = ShiftSequences(t)
+    def from_triplet(cls, t: ScalarTriplet | ShiftSequences) -> "MomentSource":
+        """Read the memoized log gamma of t's sequences (built here for a bare triplet)."""
+        seqs = t if isinstance(t, ShiftSequences) else ShiftSequences(t)
         return cls(seqs.log_gamma, None, "triplet")
 
     @classmethod
@@ -70,13 +69,13 @@ class MomentSource:
 def as_moment_source(obj) -> MomentSource:
     if isinstance(obj, MomentSource):
         return obj
-    if isinstance(obj, ScalarTriplet):
+    if isinstance(obj, (ScalarTriplet, ShiftSequences)):
         return MomentSource.from_triplet(obj)
     if isinstance(obj, AtomicMeasure):
         return MomentSource.from_measure(obj)
     if isinstance(obj, ModelShift):
         return MomentSource.from_measure(obj.berger)
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)) or hasattr(obj, "tolist"):  # weights, also as an array
         return MomentSource.from_weights(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a moment source")
 
@@ -98,6 +97,8 @@ def quasi_affine_test(lam_hat, om_hat, n_max: int = DEFAULT_N) -> Verdict:
     decides: clearly positive slope means unbounded, clearly negative means
     bounded, and a flat window is bounded when its drift stays small.
     """
+    import numpy as np
+
     lam = as_moment_source(lam_hat)
     om = as_moment_source(om_hat)
     n = _effective_n(n_max, lam, om)
@@ -143,8 +144,10 @@ def similarity_test(lam_hat, om_hat, n_max: int = DEFAULT_N) -> Verdict:
     return Verdict(INCONCLUSIVE, "similarity_test", SIMILARITY_TAG, witness)
 
 
-def shift_matrix(weights: Sequence[float], size: int) -> np.ndarray:
-    """Truncated weighted shift: entry (n+1, n) is the n-th weight."""
+def shift_matrix(weights: Sequence[float], size: int):
+    """Truncated weighted shift: entry (n+1, n) is the n-th weight, as a numpy array."""
+    import numpy as np
+
     mat = np.zeros((size, size))
     for n in range(size - 1):
         mat[n + 1, n] = weights[n]
@@ -164,6 +167,8 @@ def intertwiner_defect(lam_hat, om_hat, m: int = 32):
     boundary, so only the first m columns of the (m+1)-square truncations are
     compared.
     """
+    import numpy as np
+
     lam = as_moment_source(lam_hat)
     om = as_moment_source(om_hat)
     size = m + 1
@@ -197,10 +202,9 @@ def alevy_scenario(
     """
     from .subnormality import is_subnormal  # local import avoids a cycle
 
-    sub = is_subnormal(t)
-    if sub.is_yes:
-        raise ValueError("scenario requires a non-subnormal shift")
     seqs = ShiftSequences(t)
+    if is_subnormal(t, seqs=seqs).is_yes:
+        raise ValueError("scenario requires a non-subnormal shift")
 
     contractive = berger.is_zero or berger.support_max() <= 1.0
     theta2 = t.nu.support_max()

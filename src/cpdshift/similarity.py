@@ -12,8 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ScalarTriplet, ShiftSequences, classify_type, require_valid
-from .measures import AtomicMeasure
+from .core import (
+    ScalarTriplet,
+    ShiftSequences,
+    classify_type,
+    defect_moment_measure,  # noqa: F401  (re-exported)
+    require_valid,
+)
+from .measures import AtomicMeasure, logsumexp
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
@@ -29,21 +35,6 @@ GRID_POINTS = 64
 
 class ModelDegenerateError(ValueError):
     """The model shift exists only for type III; the completion space is too small."""
-
-
-def _logsumexp(values) -> float:
-    vals = [v for v in values if v != -math.inf]
-    if not vals:
-        return -math.inf
-    top = max(vals)
-    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
-
-
-def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
-    """nu plus the atom (1, 2c): the measure whose moments are gamma_n * beta_n."""
-    if t.c > 0.0:
-        return AtomicMeasure.from_atoms(tuple(t.nu.atoms) + ((1.0, 2.0 * t.c),))
-    return t.nu
 
 
 def similar_by_beta(
@@ -120,7 +111,7 @@ def _tail_floor(t: ScalarTriplet, n: int, theta: float) -> float:
     mass_below = math.fsum(w for p, w in t.nu.atoms if p < 1.0)
     poly = 1.0 + max(t.b, 0.0) * n + t.c * n * n + mass_below * n * (n - 1) / 2.0
     log_theta_n = n * math.log(theta)
-    log_den = _logsumexp([math.log(poly), math.log(c_above) + log_theta_n])
+    log_den = logsumexp([math.log(poly), math.log(c_above) + log_theta_n])
     return math.exp(math.log(mass_top) + log_theta_n - log_den)
 
 
@@ -306,7 +297,7 @@ def criterion_ineqsuf(
     if _family_i(t, total, inf_supp):
         families["i"] = {}
 
-    t0 = _unit_growth_root()
+    t0 = example_t0()
     if t_param is not None:
         if _family_ii(t, total, inf_supp, t_param):
             families["ii"] = {"t": t_param}
@@ -358,8 +349,8 @@ def criterion_ineqsuf(
     )
 
 
-def _unit_growth_root() -> float:
-    # positive root of 1 - 2t - (3/2) t^2
+def example_t0() -> float:
+    """Positive root of 1 - 2t - (3/2) t^2 = 0: the upper end of family (ii)'s t window."""
     return (math.sqrt(10.0) - 2.0) / 3.0
 
 
@@ -399,7 +390,7 @@ def model_subnormal(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Mod
         raise ModelDegenerateError(
             f"model degenerates for type {label.kind} (completion dimension {label.dim})"
         )
-    m0 = defect_moment_measure(t)
+    m0 = s.defect_measure
     return ModelShift(mu0=m0, berger=m0.normalize())
 
 
@@ -408,10 +399,9 @@ def b2_identity_check(
 ) -> bool:
     """gamma_n * beta_n equals the n-th moment of nu + 2c at 1, for n <= m_max."""
     s = seqs if seqs is not None else ShiftSequences(t)
-    m0 = defect_moment_measure(t)
     for n in range(m_max + 1):
         lhs = s.gamma(n) * s.beta(n)
-        rhs = m0.moment(n)
+        rhs = s.defect_measure.moment(n)
         if abs(lhs - rhs) > rtol * max(1.0, abs(lhs), abs(rhs)):
             return False
     return True

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     ScalarTriplet,
     ShiftSequences,
@@ -92,6 +90,8 @@ def hankel_psd_oracle(moments, order: int = 8, tol: float = 1e-8) -> Verdict:
     Independent of the resolvent test.  A verdict is decisive unless the most
     negative normalized eigenvalue falls in the band (-BAND_FACTOR*tol, -tol].
     """
+    import numpy as np
+
     need = 2 * order + 2
     if len(moments) < need:
         raise ValueError(f"need at least {need} moments for order {order}, got {len(moments)}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import ScalarTriplet, TypeLabel
 from .measures import AtomicMeasure, point_mass, zero_measure
-from .similarity import criterion_ineqsuf
+from .similarity import criterion_ineqsuf, example_t0
 
 
 def wab_weights(a: float, b: float, n: int) -> float:
@@ -87,11 +87,6 @@ def wab_classify(a: float, b: float) -> WabClassification:
     nu = point_mass(0.0, theta) if theta > 0.0 else zero_measure()
     triplet = ScalarTriplet(a - 1.0, 0.0, nu)
     return WabClassification(a, b, theta, True, label, subnormal, berger, norm, triplet)
-
-
-def example_t0() -> float:
-    """Positive root of 1 - 2t - (3/2) t^2 = 0."""
-    return (math.sqrt(10.0) - 2.0) / 3.0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from cpdshift.cli import main
+import cpdshift
+from cpdshift import core, quasi_affine_test
+from cpdshift.cli import compare_report, load_triplet, main, similar_report
 
 ATOM2 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[2.0, 1.0]]}}'
 W13 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[0.0, 2.0]]}}'
@@ -182,3 +188,56 @@ class TestFloatFormatting:
         assert "0.10000000000000001" in out  # repr-exact decimal expansion
         doc = json.loads(out)
         assert doc["input"]["b"] == 0.1
+
+
+class TestSharedSequences:
+    BASE = '{"b": 0.3, "c": 0.2, "nu": {"atoms": [[0.5, 0.4], [2.0, 1.0], [3.5, 0.3]]}}'
+
+    def _count(self, monkeypatch):
+        counts = {"built": 0, "validated": 0, "log_gamma": 0}
+        init, validate, log_gamma = (
+            core.ShiftSequences.__init__,
+            core.validate_triplet,
+            core._log_gamma_value,
+        )
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(core.ShiftSequences, "__init__", counting("built", init))
+        counted_validate = counting("validated", validate)
+        monkeypatch.setattr(core, "validate_triplet", counted_validate)
+        monkeypatch.setattr("cpdshift.cli.validate_triplet", counted_validate)
+        monkeypatch.setattr(core, "_log_gamma_value", counting("log_gamma", log_gamma))
+        return counts
+
+    def test_compare_builds_one_sequences_per_side(self, monkeypatch):
+        ta, tb = load_triplet(self.BASE), load_triplet(ATOM2)
+        counts = self._count(monkeypatch)
+        report, _ = compare_report(ta, tb, 512)
+        assert counts["built"] == 2 and counts["validated"] == 2
+        assert counts["log_gamma"] <= 2 * (512 + 1)
+        assert report["a_transform_of_b"] == quasi_affine_test(ta, tb, 512).to_json()
+        assert report["b_transform_of_a"] == quasi_affine_test(tb, ta, 512).to_json()
+
+    def test_similar_builds_one_sequences(self, monkeypatch):
+        t = load_triplet(self.BASE)
+        counts = self._count(monkeypatch)
+        similar_report(t, 512)
+        assert counts["built"] == 1 and counts["validated"] == 1
+
+    def test_similar_does_not_import_numpy(self):
+        code = (
+            "import sys; from cpdshift.cli import main; "
+            f"main(['similar', {ATOM2!r}]); print('numpy' in sys.modules)"
+        )
+        src = str(Path(cpdshift.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import cpdshift
 from cpdshift import (
     AtomicMeasure,
     InvalidTripletError,
@@ -247,3 +248,9 @@ class TestDiagonalTriplet:
         t = trip(0.0, 0.0, [(0.0, 0.5), (2.0, 0.5)])
         assert diagonal_triplet(t, 0).nu_k.atoms[0][0] == 0.0
         assert all(p > 0 for p, _ in diagonal_triplet(t, 2).nu_k.atoms)
+
+
+def test_public_names_resolve_once():
+    assert len(cpdshift.__all__) == len(set(cpdshift.__all__))
+    missing = [name for name in cpdshift.__all__ if not hasattr(cpdshift, name)]
+    assert missing == []

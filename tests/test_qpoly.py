@@ -1,4 +1,7 @@
+import decimal
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -74,3 +77,26 @@ def test_log_form_matches(n, x):
 def test_log_form_rejects_small_x():
     with pytest.raises(ValueError):
         q_poly_log(10, 0.9)
+
+
+def _exact_log_q(n, x):
+    """log Q_n(x) from the exact integer sum, with 40 significant digits."""
+    num, den = Fraction(x).as_integer_ratio()
+    acc, den_pow = 0, 1
+    for j in range(n - 2, -1, -1):  # sum (n-1-j) num^j den^(n-2-j), by Horner
+        acc = acc * num + (n - 1 - j) * den_pow
+        den_pow *= den
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float(decimal.Decimal(acc).ln() - (n - 2) * decimal.Decimal(den).ln())
+
+
+def test_log_form_near_one_matches_exact_sums():
+    rng = random.Random(20240517)
+    draws = [(10, 1.0 + 3e-9), (2, 1.0 + 1e-9), (3, 1.0 + 5e-9), (512, 1.0 + 2.0**-52)]
+    while len(draws) < 300:
+        x = 1.0 + math.exp(rng.uniform(math.log(1e-16), math.log(20.0)))
+        if x > 1.0:
+            draws.append((rng.randint(2, 512), x))
+    for n, x in draws:
+        assert abs(q_poly_log(n, x) - _exact_log_q(n, x)) <= 1e-12, (n, x)
