@@ -36,8 +36,6 @@ from .subnormality import (
 from .verdict import NotApplicableError, Verdict
 from .wab import generate_3uwre, wab_classify
 
-log = logging.getLogger("cpdshift")
-
 EXIT_DECIDED = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INCONCLUSIVE = 2

@@ -3,26 +3,29 @@
 A triplet (b, c, nu) with c >= 0 and nu a finitely atomic measure on [0, oo)
 having no atom at 1 generates the candidate formal moment sequence
 
-    gamma_n = 1 + b n + c n^2 + integral of q_poly(n, .) d nu.
+    gamma_n = 1 + b n + c n^2 + integral of Q_n d nu,   Q_{n+1}(x) = x Q_n(x) + n.
 
-When every gamma_n is positive, the weights lambda_n = sqrt(gamma_{n+1} /
-gamma_n) define a bounded weighted shift whose formal moments are exactly
-gamma, and the defect sequence beta_n = 1 - 2 lambda_n^2 + lambda_n^2
-lambda_{n+1}^2 has the closed form (2c + nu-moment_n) / gamma_n.
+When every gamma_n is positive, lambda_n = sqrt(gamma_{n+1} / gamma_n) are the
+weights of a bounded shift with formal moments gamma, and its defects beta_n =
+1 - 2 lambda_n^2 + lambda_n^2 lambda_{n+1}^2 equal (2c + nu-moment_n) / gamma_n.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, logsumexp
 from .qpoly import q_poly, q_poly_log
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Verdict
 
 # gamma values beyond this are evaluated in the log domain only.
 OVERFLOW_LIMIT = 1e300
+
+# gamma_n and log gamma_n are kept for n < PREFIX_WINDOW, so long scans hold no more
+# memory; blocks end at FIRST_BLOCK 2^k: 68 and 544 hold what 64/512-term beta scans read.
+PREFIX_WINDOW = 4096
+FIRST_BLOCK = 34
 
 # The two beta routes must agree this closely or the operation fails loudly.
 BETA_AGREEMENT_RTOL = 1e-9
@@ -209,30 +212,30 @@ def _forward_scan(t: ScalarTriplet, case: int, max_steps: int) -> Verdict:
     )
 
 
+def _gamma_pair(t: ScalarTriplet, n: int, qs) -> tuple[float, float]:
+    """gamma_n from Q_n(x) per atom in one fsum, and its log (nan if gamma_n <= 0).
+
+    From OVERFLOW_LIMIT on, the log takes the atoms above 1 from q_poly_log and
+    drops a negative rest, which is then below 1e-280 of gamma_n."""
+    head = [1.0, t.b * n, t.c * n * n]
+    try:
+        g = math.fsum(head + [w * q for (_, w), q in zip(t.nu.atoms, qs)])
+    except OverflowError:
+        g = math.inf
+    if g < OVERFLOW_LIMIT:
+        return g, (math.log(g) if g > 0.0 else math.nan)
+    rest = math.fsum(head + [w * q for (p, w), q in zip(t.nu.atoms, qs) if p < 1.0])
+    logs = [math.log(w) + q_poly_log(n, p) for p, w in t.nu.atoms if p > 1.0]
+    return g, logsumexp(logs + [math.log(rest)] if rest > 0.0 else logs)
+
+
 def _gamma_value(t: ScalarTriplet, n: int) -> float:
-    return 1.0 + t.b * n + t.c * n * n + math.fsum(
-        w * q_poly(n, p) for p, w in t.nu.atoms
-    )
+    """gamma_n from the O(1) kernel, for indices past the prefix."""
+    return _gamma_pair(t, n, [q_poly(n, p) for p, _ in t.nu.atoms])[0]
 
 
 def _log_gamma_value(t: ScalarTriplet, n: int) -> float:
-    if n == 0:
-        return 0.0
-    small = 1.0 + t.b * n + t.c * n * n
-    small += math.fsum(w * q_poly(n, p) for p, w in t.nu.atoms if p <= 1.0)
-    terms = []
-    if small != 0.0:
-        terms.append((math.copysign(1.0, small), math.log(abs(small))))
-    for p, w in t.nu.atoms:
-        if p > 1.0 and n >= 2:
-            terms.append((1.0, math.log(w) + q_poly_log(n, p)))
-    if not terms:
-        raise ArithmeticError(f"gamma_{n} evaluated to zero")
-    top = max(la for _, la in terms)
-    total = math.fsum(sign * math.exp(la - top) for sign, la in terms)
-    if total <= 0.0:
-        raise ArithmeticError(f"log-domain cancellation evaluating gamma_{n}")
-    return top + math.log(total)
+    return _gamma_pair(t, n, [q_poly(n, p) for p, _ in t.nu.atoms])[1]
 
 
 def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
@@ -245,14 +248,13 @@ def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
 class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
 
-    This is the single per-triplet owner of the validation verdict, of the
-    memoized gamma / log gamma values and of the defect measure nu + 2c at 1;
-    criteria, moment sources and reports take one instance (``seqs=``)
-    instead of validating and evaluating the triplet again.
+    The single per-triplet owner of the validation verdict, of the gamma prefix
+    and of the defect measure nu + 2c at 1: criteria, moment sources and
+    reports take one instance (``seqs=``) instead of evaluating again.
 
-    Each gamma is evaluated from the closed formula (no cumulative products);
-    values past double-precision range are served in the log domain.  Memoized
-    prefixes are guarded by a lock so concurrent readers see consistent values.
+    Each prefix block seeds Q_n(x) per atom from q_poly and steps it with the
+    recurrence, so values do not depend on the order of reads.  The prefix is
+    an immutable tuple published by one assignment, so it needs no lock.
     """
 
     def __init__(self, triplet: ScalarTriplet, validation: Verdict | None = None):
@@ -264,39 +266,40 @@ class ShiftSequences:
         self.triplet = triplet
         self.validation = v
         self.defect_measure = defect_moment_measure(triplet)
-        self._lock = threading.Lock()
-        self._gamma: dict[int, float] = {}
-        self._log_gamma: dict[int, float] = {}
+        self._prefix: tuple[tuple[float, float], ...] = ()
+
+    def _prefix_to(self, n: int) -> tuple[tuple[float, float], ...]:
+        """The published (gamma, log gamma) prefix, first grown block by block past n."""
+        if n < 0:
+            raise ValueError("index must be nonnegative")
+        prefix = self._prefix
+        while len(prefix) <= n:
+            start, pts = len(prefix), [p for p, _ in self.triplet.nu.atoms]
+            qs = [q_poly(start, p) for p in pts]
+            block = []
+            for m in range(start, min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK))):
+                block.append(_gamma_pair(self.triplet, m, qs))
+                qs = [p * q + m for p, q in zip(pts, qs)]
+            self._prefix = prefix = prefix + tuple(block)
+        return prefix
 
     def gamma(self, n: int) -> float:
         """gamma_n in double precision; +inf when it overflows the double range."""
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        with self._lock:
-            if n not in self._gamma:
-                self._gamma[n] = _gamma_value(self.triplet, n)
-            return self._gamma[n]
+        if n >= PREFIX_WINDOW:
+            return _gamma_value(self.triplet, n)
+        return self._prefix_to(n)[n][0]
 
     def log_gamma(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        with self._lock:
-            if n not in self._log_gamma:
-                self._log_gamma[n] = _log_gamma_value(self.triplet, n)
-            return self._log_gamma[n]
+        lg = _log_gamma_value(self.triplet, n) if n >= PREFIX_WINDOW else self._prefix_to(n)[n][1]
+        if math.isnan(lg):
+            raise ArithmeticError(f"gamma_{n} is not positive in double precision")
+        return lg
 
     def weight(self, n: int) -> float:
         g1 = self.gamma(n + 1)
         if g1 < OVERFLOW_LIMIT:
             return math.sqrt(g1 / self.gamma(n))
         return math.exp(0.5 * (self.log_gamma(n + 1) - self.log_gamma(n)))
-
-    def beta_numerator(self, n: int) -> float:
-        """2c + n-th moment of nu: the second difference of gamma."""
-        return self.defect_measure.moment(n)
-
-    def log_beta_numerator(self, n: int) -> float:
-        return self.defect_measure.log_moment(n)
 
     def beta(self, n: int) -> float:
         """Defect beta_n, computed both from the weights and in closed form.
@@ -307,13 +310,13 @@ class ShiftSequences:
         g2 = self.gamma(n + 2)
         if g2 < OVERFLOW_LIMIT:
             g0, g1 = self.gamma(n), self.gamma(n + 1)
-            closed = self.beta_numerator(n) / g0
+            closed = self.defect_measure.moment(n) / g0
             sq_a, sq_b = g1 / g0, g2 / g1
         else:
             lg0 = self.log_gamma(n)
             lg1 = self.log_gamma(n + 1)
             lg2 = self.log_gamma(n + 2)
-            closed = math.exp(self.log_beta_numerator(n) - lg0)
+            closed = math.exp(self.defect_measure.log_moment(n) - lg0)
             sq_a, sq_b = math.exp(lg1 - lg0), math.exp(lg2 - lg1)
         direct = 1.0 - 2.0 * sq_a + sq_a * sq_b
         if abs(direct - closed) > BETA_AGREEMENT_RTOL * max(1.0, abs(closed)):
@@ -327,12 +330,6 @@ class ShiftSequences:
 
     def gammas(self, count: int) -> list[float]:
         return [self.gamma(n) for n in range(count)]
-
-
-def require_valid(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> None:
-    """Raise InvalidTripletError unless t generates a positive moment sequence."""
-    if seqs is None:
-        ShiftSequences(t)
 
 
 def classify_type(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> TypeLabel:

@@ -17,7 +17,6 @@ from .core import (
     ShiftSequences,
     classify_type,
     defect_moment_measure,  # noqa: F401  (re-exported)
-    require_valid,
 )
 from .measures import AtomicMeasure, logsumexp
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
@@ -125,7 +124,8 @@ def criterion_kdwq(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Verd
         (b) b differs from the first resolvent sum,
         (c) c > 0.
     """
-    require_valid(t, seqs)
+    if seqs is None:
+        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
     theta = t.nu.support_max()
     if not theta > 1.0:
         return Verdict(
@@ -166,7 +166,8 @@ def criterion_nyttrs(
     "yes" when the limit (default rule) or the observed tail infimum (custom
     rule) is positive.
     """
-    require_valid(t, seqs)
+    if seqs is None:
+        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
     theta = t.nu.support_max()
     if not theta > 1.0:
         raise NotApplicableError("sup of the support must exceed 1")
@@ -280,7 +281,8 @@ def criterion_ineqsuf(
     literally, otherwise a coarse grid over the generation windows is
     searched (the conditions are open, so the grid suffices in practice).
     """
-    require_valid(t, seqs)
+    if seqs is None:
+        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
     if t.b < 0.0:
         return Verdict(
             INCONCLUSIVE,

@@ -18,7 +18,6 @@ from .core import (
     ShiftSequences,
     classify_type,
     diagonal_triplet,
-    require_valid,
 )
 from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, Verdict
@@ -48,7 +47,8 @@ def is_subnormal(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Verdic
     complementary mass 1 - I2 at the point 1, which makes it a probability
     measure reproducing the formal moments.
     """
-    require_valid(t, seqs)
+    if seqs is None:
+        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
     i1, i2 = t.nu.resolvent_integrals()
     conditions = {
         "second_resolvent_at_most_one": bool(i2 <= 1.0 + 1e-12),

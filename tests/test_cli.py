@@ -231,9 +231,11 @@ class TestSharedSequences:
         assert counts["built"] == 1 and counts["validated"] == 1
 
     def test_similar_does_not_import_numpy(self):
+        # classify and model as well: none of the three needs numpy
         code = (
             "import sys; from cpdshift.cli import main; "
-            f"main(['similar', {ATOM2!r}]); print('numpy' in sys.modules)"
+            f"[main([cmd, {ATOM2!r}]) for cmd in ('classify', 'similar', 'model')]; "
+            "print('numpy' in sys.modules)"
         )
         src = str(Path(cpdshift.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

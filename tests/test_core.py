@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,10 +9,14 @@ from cpdshift import (
     InvalidTripletError,
     ScalarTriplet,
     ShiftSequences,
+    alevy_scenario,
     classify_type,
+    core,
     diagonal_triplet,
+    point_mass,
     validate_triplet,
 )
+from cpdshift.cli import model_report, similar_report
 
 
 def trip(b, c, atoms=()):
@@ -184,6 +189,93 @@ class TestCorpusIdentities:
             assert (label.kind == "III") == (s.beta(1) > 0.0)
 
 
+class TestPrefix:
+    # gamma leaves the double range near n = 230
+    LARGE = trip(0.5, 1.0, [(19.0, 1e2), (20.0, 1e2)])
+    NEAR_ONE = (
+        trip(0.5, 0.0, [(0.5, 1.0), (1.0 - 1.4e-4, 1.0)]),
+        trip(0.5, 0.0, [(0.5, 1.0), (1.0 + 1.9e-4, 1.0)]),
+        trip(0.3, 0.2, [(0.4, 1.0), (1.00001, 1.0)]),
+    )
+
+    @pytest.mark.parametrize("t", (LARGE,) + NEAR_ONE)
+    def test_prefix_matches_point_kernel(self, t):
+        s = ShiftSequences(t)
+        indices = list(range(600)) + list(range(core.PREFIX_WINDOW - 8, core.PREFIX_WINDOW + 8))
+        for n in indices:
+            g, point = s.gamma(n), core._gamma_value(t, n)
+            if max(g, point) < math.inf:
+                assert math.isclose(g, point, rel_tol=1e-12), n
+            assert math.isclose(s.log_gamma(n), core._log_gamma_value(t, n), rel_tol=1e-12), n
+
+    def test_overflow_switch_lies_in_the_compared_range(self):
+        s = ShiftSequences(self.LARGE)
+        switch = next(n for n in range(600) if s.gamma(n) >= core.OVERFLOW_LIMIT)
+        assert 200 < switch < 260 and s.gamma(600) == math.inf
+
+    def test_values_do_not_depend_on_the_order_of_reads(self):
+        t = self.NEAR_ONE[2]
+        forward, backward = ShiftSequences(t), ShiftSequences(t)
+        backward.gamma(3000)
+        assert [backward.log_gamma(n) for n in range(3000, -1, -1)][::-1] == [
+            forward.log_gamma(n) for n in range(3001)
+        ]
+
+    def test_far_reads_keep_the_window(self, monkeypatch):
+        s = ShiftSequences(self.LARGE)
+        s.log_gamma(core.PREFIX_WINDOW + 8)  # a cheap probe first: past the window nothing is kept
+        assert len(s._prefix) == 0
+        assert s.log_gamma(10**7) > 0.0 and s.gamma(10**7) == math.inf
+        assert len(s._prefix) == 0
+        built = []
+        init = core.ShiftSequences.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(core.ShiftSequences, "__init__", recording)
+        # the ratio 1 / (1 + 1e-9 n) never drops below 1e-6: probes run to 1e7
+        report = alevy_scenario(trip(1e-9, 0.0), point_mass(1.0, 1.0))
+        assert report["forward"]["ratio_below_1e-6_at"] is None
+        assert built and all(len(b._prefix) <= core.PREFIX_WINDOW for b in built)
+
+
+def near_one_corpus(seed, count=40):
+    """Valid triplets with one atom 1e-9 to 1e-2 from 1, on either side."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        x = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -2.0)
+        low = rng.uniform(0.0, 0.9)
+        atoms = [(low, 10.0 ** rng.uniform(-6.0, 2.0)), (x, 10.0 ** rng.uniform(-6.0, 2.0))]
+        c = rng.choice((0.0, 10.0 ** rng.uniform(-6.0, 2.0)))
+        out.append(trip(rng.uniform(0.0, 2.0), c, atoms))
+    return out
+
+
+class TestBetaNearOne:
+    """The two beta routes agree when an atom sits close to 1 (no "defect mismatch")."""
+
+    def test_rtol_unchanged(self):
+        assert core.BETA_AGREEMENT_RTOL == 1e-9
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_beta_prefix(self, seed):
+        for t in TestPrefix.NEAR_ONE + tuple(near_one_corpus(seed)):
+            s = ShiftSequences(t)
+            assert all(s.beta(n) > 0.0 for n in range(513))
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_reports(self, seed):
+        # atoms just above 1 send the beta scan to n ~ 2/(x-1), so the
+        # corpus part keeps the atoms below 1
+        below = [t for t in near_one_corpus(seed) if t.nu.support_max() < 1.0]
+        for t in TestPrefix.NEAR_ONE[:2] + tuple(below):
+            assert similar_report(t, 512)[0]["verdict"] != "InvalidTriplet"
+            assert model_report(t, 32)[0]["verdict"] == "Model"
+
+
 class TestConcurrentReads:
     def test_threads_see_consistent_values(self):
         import threading
@@ -203,6 +295,33 @@ class TestConcurrentReads:
             th.start()
         for th in threads:
             th.join()
+        assert not failures
+
+    def test_threads_growing_one_prefix_agree(self):
+        import sys
+        import threading
+
+        t = trip(0.3, 0.2, [(0.5, 1.0), (3.0, 0.5)])  # overflows near n = 630
+        ref, s = ShiftSequences(t), ShiftSequences(t)
+        expected = [ref.log_gamma(n) for n in range(3000)]
+        failures = []
+
+        def reader(k):
+            order = range(k, 3000, 7) if k % 2 else range(2999 - k, -1, -7)
+            if any(s.log_gamma(n) != expected[n] for n in order):
+                failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
         assert not failures
 
 

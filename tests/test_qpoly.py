@@ -79,16 +79,22 @@ def test_log_form_rejects_small_x():
         q_poly_log(10, 0.9)
 
 
-def _exact_log_q(n, x):
-    """log Q_n(x) from the exact integer sum, with 40 significant digits."""
+def _exact_q(n, x):
+    """Q_n(x) as an exact fraction, from the integer sum."""
     num, den = Fraction(x).as_integer_ratio()
     acc, den_pow = 0, 1
     for j in range(n - 2, -1, -1):  # sum (n-1-j) num^j den^(n-2-j), by Horner
         acc = acc * num + (n - 1 - j) * den_pow
         den_pow *= den
+    return Fraction(acc, den ** (n - 2))
+
+
+def _exact_log_q(n, x):
+    """log Q_n(x) from the exact integer sum, with 40 significant digits."""
+    q = _exact_q(n, x)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        return float(decimal.Decimal(acc).ln() - (n - 2) * decimal.Decimal(den).ln())
+        return float(decimal.Decimal(q.numerator).ln() - decimal.Decimal(q.denominator).ln())
 
 
 def test_log_form_near_one_matches_exact_sums():
@@ -100,3 +106,18 @@ def test_log_form_near_one_matches_exact_sums():
             draws.append((rng.randint(2, 512), x))
     for n, x in draws:
         assert abs(q_poly_log(n, x) - _exact_log_q(n, x)) <= 1e-12, (n, x)
+
+
+def test_kernel_near_one_matches_exact_sums():
+    rng = random.Random(20240518)
+    # every regime and both of its edges: n |x - 1| around 1e-3 and around 1
+    draws = [(2, 1.0 + 1e-9), (512, 1.0 - 2.0**-53), (512, 1.0 + 2.0**-52)]
+    edges = (9.99e-4, 1.001e-3, 0.999, 1.0)
+    draws += [(1000, 1.0 + s * r / 1000) for s in (-1.0, 1.0) for r in edges]
+    while len(draws) < 300:
+        x = 1.0 + rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-16), math.log(0.5)))
+        if x != 1.0:
+            draws.append((rng.randint(2, 512), x))
+    for n, x in draws:
+        exact = _exact_q(n, x)
+        assert abs(Fraction(q_poly(n, x)) - exact) <= exact / 10**12, (n, x)
