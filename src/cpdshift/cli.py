@@ -52,23 +52,12 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def to_jsonable(obj):
-    """Recursively convert report objects to plain JSON data."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "to_json"):
-        return to_jsonable(obj.to_json())
-    if hasattr(obj, "tolist"):  # numpy scalars and arrays
-        return to_jsonable(obj.tolist())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj, indent: int = 0) -> str:
-    """JSON text with every float printed to 17 significant digits."""
+    """JSON text with every float printed to 17 significant digits.
+
+    Report objects print through their to_json, numpy scalars and arrays
+    through tolist; dict keys print as str(key).
+    """
 
     def emit(o, depth):
         pad = " " * (indent * depth)
@@ -101,9 +90,13 @@ def dumps(obj, indent: int = 0) -> str:
                 return "[]"
             items = sep.join(f"{pad_in}{emit(v, depth + 1)}" for v in o)
             return "[" + nl + items + nl + pad + "]"
+        if hasattr(o, "to_json"):
+            return emit(o.to_json(), depth)
+        if hasattr(o, "tolist"):
+            return emit(o.tolist(), depth)
         raise TypeError(f"cannot serialize {type(o).__name__}")
 
-    return emit(to_jsonable(obj), 0)
+    return emit(obj, 0)
 
 
 def _print_report(report) -> None:
@@ -141,19 +134,26 @@ def load_triplet(spec: str) -> ScalarTriplet:
 # -- per-command reports ------------------------------------------------------
 
 
-def _validation_header(t: ScalarTriplet) -> tuple[dict, Verdict]:
+def _validated_header(t: ScalarTriplet, command: str) -> tuple[dict, ShiftSequences | None, int]:
+    """Validate t and open its report with the keys input, valid and command.
+
+    Returns (report, sequences, exit code).  When t is not validated the
+    sequences are None, and the report, verdict included, and the exit code
+    are final.
+    """
     v = validate_triplet(t)
-    return {"input": t, "valid": v}, v
+    report = {"input": t, "valid": v, "command": command}
+    if v.is_yes:
+        return report, ShiftSequences(t, validation=v), EXIT_DECIDED
+    report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
+    return report, None, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
 
 
 def classify_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
-    report, v = _validation_header(t)
-    report["command"] = "classify"
-    if not v.is_yes:
-        report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
-        return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
-    seqs = ShiftSequences(t, validation=v)
-    label = classify_type(t, seqs=seqs)
+    report, seqs, code = _validated_header(t, "classify")
+    if seqs is None:
+        return report, code
+    label = classify_type(seqs)
     betas = [seqs.beta(n) for n in range(1, max(2, n_max) + 1)]
     report["type"] = label
     report["beta"] = {
@@ -168,13 +168,10 @@ def classify_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
 
 
 def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[dict, int]:
-    report, v = _validation_header(t)
-    report["command"] = "subnormal"
-    if not v.is_yes:
-        report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
-        return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
-    seqs = ShiftSequences(t, validation=v)
-    sub = is_subnormal(t, seqs=seqs)
+    report, seqs, code = _validated_header(t, "subnormal")
+    if seqs is None:
+        return report, code
+    sub = is_subnormal(seqs)
     moments = [seqs.gamma(n) for n in range(2 * hankel_order + 2)]
     oracle = hankel_psd_oracle(moments, hankel_order, tol)
     report["subnormal"] = sub
@@ -192,15 +189,12 @@ def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[d
 
 
 def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
-    report, v = _validation_header(t)
-    report["command"] = "similar"
-    if not v.is_yes:
-        report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
-        return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
-    seqs = ShiftSequences(t, validation=v)
-    label = classify_type(t, seqs=seqs)
-    sub = is_subnormal(t, seqs=seqs)
-    nec = necessary_conditions(t, seqs=seqs)
+    report, seqs, code = _validated_header(t, "similar")
+    if seqs is None:
+        return report, code
+    label = classify_type(seqs)
+    sub = is_subnormal(seqs)
+    nec = necessary_conditions(seqs)
     report["type"] = label
     report["subnormal"] = sub
     report["necessary_conditions"] = nec
@@ -208,17 +202,17 @@ def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
     criteria: dict[str, object] = {}
     dich = None
     if label.kind in ("I", "II"):
-        dich = dichotomy_check(t, seqs=seqs)
+        dich = dichotomy_check(seqs)
         report["dichotomy"] = dich
     else:
-        criteria["similar_by_beta"] = similar_by_beta(t, n_scan=n_max, seqs=seqs)
-        criteria["criterion_kdwq"] = criterion_kdwq(t, seqs=seqs)
+        criteria["similar_by_beta"] = similar_by_beta(seqs, n_scan=n_max)
+        criteria["criterion_kdwq"] = criterion_kdwq(seqs)
         try:
-            criteria["criterion_nyttrs"] = criterion_nyttrs(t, seqs=seqs)
+            criteria["criterion_nyttrs"] = criterion_nyttrs(seqs)
         except NotApplicableError as exc:
             criteria["criterion_nyttrs"] = {"skipped": str(exc)}
-        criteria["criterion_weight_band"] = criterion_weight_band(t, n_hi=n_max, seqs=seqs)
-        criteria["criterion_ineqsuf"] = criterion_ineqsuf(t, seqs=seqs)
+        criteria["criterion_weight_band"] = criterion_weight_band(seqs, n_hi=n_max)
+        criteria["criterion_ineqsuf"] = criterion_ineqsuf(seqs)
         report["criteria"] = criteria
 
     # aggregation precedence: Subnormal > NotSimilar > Similar > Inconclusive
@@ -244,14 +238,11 @@ def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
 
 
 def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
-    report, v = _validation_header(t)
-    report["command"] = "model"
-    if not v.is_yes:
-        report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
-        return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
-    seqs = ShiftSequences(t, validation=v)
+    report, seqs, code = _validated_header(t, "model")
+    if seqs is None:
+        return report, code
     try:
-        model = model_subnormal(t, seqs=seqs)
+        model = model_subnormal(seqs)
     except ModelDegenerateError as exc:
         report["model"] = None
         report["verdict"] = "ModelDegenerate"
@@ -264,7 +255,7 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
         "moments": model.moments(count),
         "weights": model.weights(count),
     }
-    report["identity_check"] = b2_identity_check(t, m_max=count, seqs=seqs)
+    report["identity_check"] = b2_identity_check(seqs, m_max=count)
     report["verdict"] = "Model"
     report["citation"] = "model-shift"
     return report, EXIT_DECIDED
@@ -324,34 +315,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, n_max_default, default_fmt="json"):
-        p.add_argument("--n-max", type=int, default=n_max_default)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--hankel-order", type=int, default=8)
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
-        fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
-        p.set_defaults(fmt=default_fmt)
-
-    for name, n_default in (
-        ("classify", 64),
-        ("subnormal", 64),
-        ("similar", 512),
-        ("model", 32),
-    ):
+    # each subcommand gets only the flags its report reads
+    n_max_default = {"classify": 64, "similar": 512, "model": 32}
+    for name in ("classify", "subnormal", "similar", "model"):
         p = sub.add_parser(name)
         p.add_argument("spec", nargs="?", help="triplet JSON, file path, or -")
         p.add_argument("--batch", metavar="FILE", help="JSON-lines file of triplet specs")
-        add_common(p, n_default)
+        if name == "subnormal":
+            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--hankel-order", type=int, default=8)
+        else:
+            p.add_argument("--n-max", type=int, default=n_max_default[name])
 
     p = sub.add_parser("compare")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
-    add_common(p, 512)
+    p.add_argument("--n-max", type=int, default=512)
 
     p = sub.add_parser("series")
     p.add_argument("spec")
-    add_common(p, 64, default_fmt="csv")
+    p.add_argument("--n-max", type=int, default=64)
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
+    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
+    p.set_defaults(fmt="csv")
 
     p = sub.add_parser("examples")
     ex_sub = p.add_subparsers(dest="example_kind", required=True)
@@ -413,8 +400,12 @@ def _run_batch(args) -> int:
 def main(argv=None) -> int:
     level = os.environ.get("CPDSHIFT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which reads as inconclusive
+        if not exc.code:
+            raise  # --help
+        return EXIT_INPUT_ERROR
 
     try:
         if args.cmd in ("classify", "subnormal", "similar", "model"):

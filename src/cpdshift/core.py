@@ -250,7 +250,7 @@ class ShiftSequences:
 
     The single per-triplet owner of the validation verdict, of the gamma prefix
     and of the defect measure nu + 2c at 1: criteria, moment sources and
-    reports take one instance (``seqs=``) instead of evaluating again.
+    reports take one instance in place of the triplet instead of evaluating again.
 
     Each prefix block seeds Q_n(x) per atom from q_poly and steps it with the
     recurrence, so values do not depend on the order of reads.  The prefix is
@@ -332,14 +332,22 @@ class ShiftSequences:
         return [self.gamma(n) for n in range(count)]
 
 
-def classify_type(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> TypeLabel:
+def as_sequences(t: ScalarTriplet | ShiftSequences) -> ShiftSequences:
+    """t itself if it is a ShiftSequences, else the sequences of the triplet t.
+
+    Raises InvalidTripletError for a triplet that fails validation.
+    """
+    return t if isinstance(t, ShiftSequences) else ShiftSequences(t)
+
+
+def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
     """Type I / II / III label with the defect-space dimension.
 
     Cross-checked against the dichotomy: the label is III exactly when
     beta_1 > 0.
     """
-    s = seqs if seqs is not None else ShiftSequences(t)
-    nu, c = t.nu, t.c
+    s = as_sequences(t)
+    nu, c = s.triplet.nu, s.triplet.c
     if nu.is_zero and c == 0.0:
         label = TypeLabel("I", 0)
     elif c == 0.0 and len(nu.atoms) == 1 and nu.atoms[0][0] == 0.0:
@@ -351,11 +359,12 @@ def classify_type(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> TypeL
     return label
 
 
-def diagonal_triplet(t: ScalarTriplet, k: int, seqs: ShiftSequences | None = None) -> DiagonalTriplet:
+def diagonal_triplet(t: ScalarTriplet | ShiftSequences, k: int) -> DiagonalTriplet:
     """k-th diagonal entry of the operator triplet attached to the shift."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    s = seqs if seqs is not None else ShiftSequences(t)
+    s = as_sequences(t)
+    t = s.triplet
     gk = s.gamma(k)
     b_k = (s.gamma(k + 1) - gk - t.c) / gk
     c_k = t.c / gk

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import ScalarTriplet, ShiftSequences
+from .core import ScalarTriplet, ShiftSequences, as_sequences
 from .measures import AtomicMeasure
 from .similarity import ModelShift
 from .verdict import INCONCLUSIVE, NO, YES, Verdict
@@ -46,8 +46,7 @@ class MomentSource:
     @classmethod
     def from_triplet(cls, t: ScalarTriplet | ShiftSequences) -> "MomentSource":
         """Read the memoized log gamma of t's sequences (built here for a bare triplet)."""
-        seqs = t if isinstance(t, ShiftSequences) else ShiftSequences(t)
-        return cls(seqs.log_gamma, None, "triplet")
+        return cls(as_sequences(t).log_gamma, None, "triplet")
 
     @classmethod
     def from_weights(cls, weights: Sequence[float]) -> "MomentSource":
@@ -189,7 +188,7 @@ def intertwiner_check(lam_hat, om_hat, m: int = 32, rtol: float = 1e-12) -> bool
 
 
 def alevy_scenario(
-    t: ScalarTriplet, berger: AtomicMeasure, n_max: int = DEFAULT_N
+    t: ScalarTriplet | ShiftSequences, berger: AtomicMeasure, n_max: int = DEFAULT_N
 ) -> dict:
     """Quasi-affinity of a non-subnormal shift against a subnormal one, both ways.
 
@@ -202,8 +201,9 @@ def alevy_scenario(
     """
     from .subnormality import is_subnormal  # local import avoids a cycle
 
-    seqs = ShiftSequences(t)
-    if is_subnormal(t, seqs=seqs).is_yes:
+    seqs = as_sequences(t)
+    t = seqs.triplet
+    if is_subnormal(seqs).is_yes:
         raise ValueError("scenario requires a non-subnormal shift")
 
     contractive = berger.is_zero or berger.support_max() <= 1.0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .core import (
     ScalarTriplet,
     ShiftSequences,
+    as_sequences,
     classify_type,
     defect_moment_measure,  # noqa: F401  (re-exported)
 )
@@ -37,10 +38,7 @@ class ModelDegenerateError(ValueError):
 
 
 def similar_by_beta(
-    t: ScalarTriplet,
-    n_scan: int = 512,
-    eps_floor: float = 0.0,
-    seqs: ShiftSequences | None = None,
+    t: ScalarTriplet | ShiftSequences, n_scan: int = 512, eps_floor: float = 0.0
 ) -> Verdict:
     """Certify inf beta_n > 0 (bounded invertibility of the model intertwiner).
 
@@ -56,7 +54,8 @@ def similar_by_beta(
     "no" (the shift lies in the two-parameter family); a positive prefix with
     no tail certificate is inconclusive.
     """
-    s = seqs if seqs is not None else ShiftSequences(t)
+    s = as_sequences(t)
+    t = s.triplet
     theta = t.nu.support_max()
     n_tail = None
     if theta > 1.0:
@@ -114,7 +113,7 @@ def _tail_floor(t: ScalarTriplet, n: int, theta: float) -> float:
     return math.exp(math.log(mass_top) + log_theta_n - log_den)
 
 
-def criterion_kdwq(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Verdict:
+def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
     """Atom at the top of the support, above 1: similar to a subnormal shift.
 
     For an atomic nu the finiteness of the resolvent sum above 1 and the atom
@@ -124,8 +123,7 @@ def criterion_kdwq(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Verd
         (b) b differs from the first resolvent sum,
         (c) c > 0.
     """
-    if seqs is None:
-        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
+    t = as_sequences(t).triplet
     theta = t.nu.support_max()
     if not theta > 1.0:
         return Verdict(
@@ -154,10 +152,7 @@ def criterion_kdwq(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Verd
 
 
 def criterion_nyttrs(
-    t: ScalarTriplet,
-    eps_rule=None,
-    n_scan: int = 500,
-    seqs: ShiftSequences | None = None,
+    t: ScalarTriplet | ShiftSequences, eps_rule=None, n_scan: int = 500
 ) -> Verdict:
     """liminf criterion at the top of the support.
 
@@ -166,8 +161,7 @@ def criterion_nyttrs(
     "yes" when the limit (default rule) or the observed tail infimum (custom
     rule) is positive.
     """
-    if seqs is None:
-        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
+    t = as_sequences(t).triplet
     theta = t.nu.support_max()
     if not theta > 1.0:
         raise NotApplicableError("sup of the support must exceed 1")
@@ -199,10 +193,7 @@ def criterion_nyttrs(
 
 
 def criterion_weight_band(
-    t: ScalarTriplet,
-    n_lo: int = 32,
-    n_hi: int = 512,
-    seqs: ShiftSequences | None = None,
+    t: ScalarTriplet | ShiftSequences, n_lo: int = 32, n_hi: int = 512
 ) -> Verdict:
     """Squared-weight band test on the window [n_lo, n_hi].
 
@@ -211,7 +202,7 @@ def criterion_weight_band(
     empirical band over the window is the witness; behavior beyond n_hi is not
     extrapolated.
     """
-    s = seqs if seqs is not None else ShiftSequences(t)
+    s = as_sequences(t)
     band = [s.weight(n) ** 2 for n in range(n_lo, n_hi + 1)]
     lo, hi = min(band), max(band)
     witness = {"n_lo": n_lo, "n_hi": n_hi, "band_min": lo, "band_max": hi}
@@ -268,11 +259,10 @@ def _family_iii(
 
 
 def criterion_ineqsuf(
-    t: ScalarTriplet,
+    t: ScalarTriplet | ShiftSequences,
     t_param: float | None = None,
     tau: float | None = None,
     grid_points: int = GRID_POINTS,
-    seqs: ShiftSequences | None = None,
 ) -> Verdict:
     """Inequality families over (b, c, nu-total, support endpoints).
 
@@ -281,8 +271,7 @@ def criterion_ineqsuf(
     literally, otherwise a coarse grid over the generation windows is
     searched (the conditions are open, so the grid suffices in practice).
     """
-    if seqs is None:
-        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
+    t = as_sequences(t).triplet
     if t.b < 0.0:
         return Verdict(
             INCONCLUSIVE,
@@ -379,15 +368,15 @@ class ModelShift:
         return [self.weight(n) for n in range(count)]
 
 
-def model_subnormal(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> ModelShift:
+def model_subnormal(t: ScalarTriplet | ShiftSequences) -> ModelShift:
     """Model subnormal shift: Berger measure = normalized (nu + 2c at 1).
 
     The square pushforward of the square-root pushforward returns the same
     measure, so the radial detour collapses to mu0 itself.  Degenerate for
     types I and II (the completion space has dimension 0 or 1).
     """
-    s = seqs if seqs is not None else ShiftSequences(t)
-    label = classify_type(t, seqs=s)
+    s = as_sequences(t)
+    label = classify_type(s)
     if label.kind != "III":
         raise ModelDegenerateError(
             f"model degenerates for type {label.kind} (completion dimension {label.dim})"
@@ -397,10 +386,10 @@ def model_subnormal(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Mod
 
 
 def b2_identity_check(
-    t: ScalarTriplet, m_max: int = 64, rtol: float = 1e-9, seqs: ShiftSequences | None = None
+    t: ScalarTriplet | ShiftSequences, m_max: int = 64, rtol: float = 1e-9
 ) -> bool:
     """gamma_n * beta_n equals the n-th moment of nu + 2c at 1, for n <= m_max."""
-    s = seqs if seqs is not None else ShiftSequences(t)
+    s = as_sequences(t)
     for n in range(m_max + 1):
         lhs = s.gamma(n) * s.beta(n)
         rhs = s.defect_measure.moment(n)

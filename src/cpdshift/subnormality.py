@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .core import (
     ScalarTriplet,
     ShiftSequences,
+    as_sequences,
     classify_type,
     diagonal_triplet,
 )
@@ -40,15 +41,14 @@ HANKEL_BAND_FACTOR = 10.0
 CONDITION_ZERO_ATOL = 1e-12
 
 
-def is_subnormal(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Verdict:
+def is_subnormal(t: ScalarTriplet | ShiftSequences) -> Verdict:
     """Resolvent test; on success the witness carries the Berger measure.
 
     The Berger measure puts mass w/(x-1)^2 at every atom (x, w) of nu and the
     complementary mass 1 - I2 at the point 1, which makes it a probability
     measure reproducing the formal moments.
     """
-    if seqs is None:
-        ShiftSequences(t)  # raises InvalidTripletError for an invalid triplet
+    t = as_sequences(t).triplet
     i1, i2 = t.nu.resolvent_integrals()
     conditions = {
         "second_resolvent_at_most_one": bool(i2 <= 1.0 + 1e-12),
@@ -163,9 +163,7 @@ class NecessaryReport:
         }
 
 
-def necessary_conditions(
-    t: ScalarTriplet, k_max: int = 64, seqs: ShiftSequences | None = None
-) -> NecessaryReport:
+def necessary_conditions(t: ScalarTriplet | ShiftSequences, k_max: int = 64) -> NecessaryReport:
     """Similarity-to-subnormal necessary conditions, checked on the diagonal triplet.
 
     Applicable only when the support of nu lies in [0, 1]; outside that range
@@ -179,14 +177,15 @@ def necessary_conditions(
     Any failure certifies that the shift is not similar to a subnormal
     operator.
     """
-    s = seqs if seqs is not None else ShiftSequences(t)
+    s = as_sequences(t)
+    t = s.triplet
     if t.nu.support_max() > 1.0:
         return NecessaryReport(
             applicable=False,
             note="support of nu is not contained in [0, 1]; conditions do not apply",
         )
 
-    diag = [diagonal_triplet(t, k, seqs=s) for k in range(k_max + 1)]
+    diag = [diagonal_triplet(s, k) for k in range(k_max + 1)]
     sums = [d.b_k + d.nu_k.total_mass() for d in diag]
 
     cond_i = ConditionResult("i-c-zero", t.c == 0.0, detail="c = 0")
@@ -227,18 +226,18 @@ def necessary_conditions(
     )
 
 
-def dichotomy_check(t: ScalarTriplet, seqs: ShiftSequences | None = None) -> Verdict:
+def dichotomy_check(t: ScalarTriplet | ShiftSequences) -> Verdict:
     """Types I and II are subnormal or not similar to any subnormal operator.
 
     Outcome answers "similar to a subnormal operator?": yes means the shift is
     itself subnormal, no means not similar at all.  Type III input is an
     error.
     """
-    s = seqs if seqs is not None else ShiftSequences(t)
-    label = classify_type(t, seqs=s)
+    s = as_sequences(t)
+    label = classify_type(s)
     if label.kind == "III":
         raise ValueError("dichotomy applies only to types I/II")
-    sub = is_subnormal(t, seqs=s)
+    sub = is_subnormal(s)
     witness = {"type": label.kind, "subnormal": sub.outcome}
     if sub.is_yes:
         witness["classification"] = "subnormal"

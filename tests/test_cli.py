@@ -1,12 +1,33 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import cpdshift
-from cpdshift import core, quasi_affine_test
-from cpdshift.cli import compare_report, load_triplet, main, similar_report
+import numpy as np
+from cpdshift import (
+    YES,
+    Verdict,
+    alevy_scenario,
+    b2_identity_check,
+    classify_type,
+    core,
+    criterion_ineqsuf,
+    criterion_kdwq,
+    criterion_nyttrs,
+    criterion_weight_band,
+    diagonal_triplet,
+    dichotomy_check,
+    is_subnormal,
+    model_subnormal,
+    necessary_conditions,
+    point_mass,
+    quasi_affine_test,
+    similar_by_beta,
+)
+from cpdshift.cli import compare_report, dumps, load_triplet, main, similar_report
 
 ATOM2 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[2.0, 1.0]]}}'
 W13 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[0.0, 2.0]]}}'
@@ -189,6 +210,29 @@ class TestFloatFormatting:
         doc = json.loads(out)
         assert doc["input"]["b"] == 0.1
 
+    def test_dumps_nested_report_objects(self):
+        verdict = Verdict(YES, "f", "tag", {"x": np.float64(0.1), "n": math.nan}, note="why")
+        obj = {1: (verdict, -math.inf), "k": [np.int64(3), True, None, {}]}
+        assert dumps(obj, indent=2) == (
+            '{\n  "1": [\n    {\n      "criterion": "f",\n      "outcome": "yes",\n'
+            '      "witnesses": {\n        "x": 0.10000000000000001,\n        "n": "nan"\n'
+            '      },\n      "citation": "tag",\n      "note": "why"\n    },\n    "-inf"\n'
+            '  ],\n  "k": [\n    3,\n    true,\n    null,\n    {}\n  ]\n}'
+        )
+
+
+class TestUsageErrors:
+    def test_flag_of_another_subcommand_is_input_error(self, capsys):
+        assert main(["classify", ATOM2, "--tol", "1e-6"]) == 1
+
+    def test_missing_operand_is_input_error(self, capsys):
+        assert main(["compare", ATOM2]) == 1
+
+    def test_subnormal_reads_its_flags(self, capsys):
+        code, doc = run_json(capsys, "subnormal", ATOM2, "--tol", "1e-6", "--hankel-order", "6")
+        assert code == 0 and doc["verdict"] == "NotSubnormal"
+        assert doc["hankel_oracle"]["witnesses"]["order"] == 6
+
 
 class TestSharedSequences:
     BASE = '{"b": 0.3, "c": 0.2, "nu": {"atoms": [[0.5, 0.4], [2.0, 1.0], [3.5, 0.3]]}}'
@@ -243,3 +287,38 @@ class TestSharedSequences:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.splitlines()[-1] == "False"
+
+    # every triplet-level procedure, with its other arguments fixed
+    PROCEDURES = (
+        classify_type,
+        lambda s: diagonal_triplet(s, 3),
+        is_subnormal,
+        necessary_conditions,
+        dichotomy_check,
+        similar_by_beta,
+        criterion_kdwq,
+        criterion_nyttrs,
+        criterion_weight_band,
+        criterion_ineqsuf,
+        model_subnormal,
+        b2_identity_check,
+        lambda s: alevy_scenario(s, point_mass(0.5)),
+    )
+
+    @staticmethod
+    def _outcome(procedure, arg):
+        try:
+            out = procedure(arg)
+        except ValueError as exc:  # not applicable to this type, or a subnormal shift
+            return type(exc)
+        return out.to_json() if hasattr(out, "to_json") else out
+
+    def test_procedures_take_the_sequences(self, monkeypatch):
+        for spec in (ATOM2, W13, SUBN):  # type III, type II, subnormal
+            t = load_triplet(spec)
+            expected = [self._outcome(f, t) for f in self.PROCEDURES]
+            seqs = core.ShiftSequences(t)
+            counts = self._count(monkeypatch)
+            assert [self._outcome(f, seqs) for f in self.PROCEDURES] == expected, spec
+            assert counts["built"] == 0 and counts["validated"] == 0, spec
+            monkeypatch.undo()

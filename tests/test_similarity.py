@@ -189,7 +189,7 @@ class TestDefectMomentIdentity:
         # moments of the normalized measure, rebuilt from model weights
         t = trip(0.1, 0.4, [(0.3, 0.6), (3.0, 1.1)])
         s = ShiftSequences(t)
-        model = model_subnormal(t, seqs=s)
+        model = model_subnormal(s)
         total = model.mu0.total_mass()
         acc = 1.0
         for n in range(33):
@@ -203,12 +203,12 @@ class TestCriteriaConsistency:
             if source != "random":
                 continue
             s = ShiftSequences(t)
-            if classify_type(t, seqs=s).kind != "III":
+            if classify_type(s).kind != "III":
                 continue
             fired = (
-                criterion_kdwq(t, seqs=s).is_yes
-                or criterion_weight_band(t, seqs=s).is_yes
-                or criterion_ineqsuf(t, seqs=s).is_yes
+                criterion_kdwq(s).is_yes
+                or criterion_weight_band(s).is_yes
+                or criterion_ineqsuf(s).is_yes
             )
             if fired:
-                assert not similar_by_beta(t, seqs=s).is_no
+                assert not similar_by_beta(s).is_no

@@ -58,7 +58,7 @@ class TestIsSubnormal:
         forced, _ = subnormality_corpus
         for t in forced:
             s = ShiftSequences(t)
-            berger = is_subnormal(t, seqs=s).witness["berger"]
+            berger = is_subnormal(s).witness["berger"]
             assert math.isclose(berger.total_mass(), 1.0, rel_tol=1e-12)
             for n in range(25):
                 assert math.isclose(berger.moment(n), s.gamma(n), rel_tol=1e-10)
@@ -90,7 +90,7 @@ class TestHankelOracle:
         disagreements = 0
         for t in forced + perturbed:
             s = ShiftSequences(t)
-            sub = is_subnormal(t, seqs=s)
+            sub = is_subnormal(s)
             oracle = hankel_psd_oracle([s.gamma(n) for n in range(18)], 8, tol=1e-8)
             if oracle.is_inconclusive or sub.is_inconclusive:
                 continue
