@@ -268,16 +268,11 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
         v = validate_triplet(t)
         report[f"valid_{name}"] = v
         if not v.is_yes:
-            report["verdict"] = "InvalidTriplet"
+            report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
             return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
         seqs.append(ShiftSequences(t, validation=v))
     seqs_a, seqs_b = seqs
     sim = similarity_test(seqs_a, seqs_b, n_max)
-    # quasi_affine_test(x, y) bounds the y-moments by the x-moments, i.e. it
-    # decides whether x is a quasi-affine transform of y; similarity_test ran
-    # it both ways
-    report["a_transform_of_b"] = sim.witness["forward"]
-    report["b_transform_of_a"] = sim.witness["backward"]
     defect, scale = intertwiner_defect(seqs_a, seqs_b, m=32)
     report["similarity"] = sim
     report["intertwiner"] = {

@@ -12,6 +12,7 @@ weights of a bounded shift with formal moments gamma, and its defects beta_n =
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ OVERFLOW_LIMIT = 1e300
 # memory; blocks end at FIRST_BLOCK 2^k: 68 and 544 hold what 64/512-term beta scans read.
 PREFIX_WINDOW = 4096
 FIRST_BLOCK = 34
+
+# Past this index doubles no longer separate consecutive indices.
+INDEX_LIMIT = 2**53
 
 # The two beta routes must agree this closely or the operation fails loudly.
 BETA_AGREEMENT_RTOL = 1e-9
@@ -117,16 +121,17 @@ def _admissible_case(t: ScalarTriplet):
     return 7, (YES if t.b >= -g1 else NO)
 
 
-def validate_triplet(t: ScalarTriplet, max_steps: int = 10**6) -> Verdict:
+def validate_triplet(t: ScalarTriplet) -> Verdict:
     """Decide positivity of the whole generated sequence gamma.
 
     The second difference of gamma is 2c + nu-moment_n >= 0, so gamma is
-    convex and its first difference is nondecreasing.  Scanning forward,
-    either some gamma_n <= 0 turns up (invalid, with witness index) or the
-    first difference becomes nonnegative (valid forever after).  When c = 0
-    and the support of nu lies in [0, 1) the first difference may stay
-    negative; its limit b + G1 then settles the verdict in closed form
-    (boundary value: gamma -> 1 - G2).
+    convex and its first difference is nondecreasing.  The first n at which
+    gamma_{n+1} >= gamma_n (valid forever after) or gamma_{n+1} <= 0 (invalid,
+    with witness index) is found by doubling and bisection on the O(1) kernel.
+    When c = 0 and the support of nu lies in [0, 1) the first difference may
+    stay negative; its limit b + G1 then settles the verdict in closed form
+    (boundary value: gamma -> 1 - G2).  Inconclusive only when gamma still
+    decreases at 2^53, past which doubles do not separate consecutive indices.
     """
     nu = t.nu
     case, decided = _admissible_case(t)
@@ -168,7 +173,7 @@ def validate_triplet(t: ScalarTriplet, max_steps: int = 10**6) -> Verdict:
                 out = Verdict(NO, "validate_triplet", VALIDATION_TAG, witness)
 
     if out is None:
-        out = _forward_scan(t, case, max_steps)
+        out = _forward_scan(t, case)
 
     if decided is not None and out.outcome != INCONCLUSIVE and out.outcome != decided:
         raise RuntimeError(
@@ -177,38 +182,44 @@ def validate_triplet(t: ScalarTriplet, max_steps: int = 10**6) -> Verdict:
     return out
 
 
-def _forward_scan(t: ScalarTriplet, case: int, max_steps: int) -> Verdict:
-    pts = [p for p, _ in t.nu.atoms]
-    wts = [m for _, m in t.nu.atoms]
-    qs = [0.0] * len(pts)
-    b, c = t.b, t.c
-    g = 1.0  # gamma_0
-    for n in range(max_steps):
-        if g <= 0.0:
+def _forward_scan(t: ScalarTriplet, case: int) -> Verdict:
+    """The convexity exit: the first n with gamma_{n+1} >= gamma_n or gamma_{n+1} <= 0.
+
+    The predicate is monotone in n, so doubling brackets the exit and bisection
+    finds it with O(log n) kernel evaluations.  It compares with >=, not through
+    a difference, so an overflowed pair of +inf reads as stopped.
+    """
+    gamma = functools.cache(functools.partial(_gamma_value, t))
+
+    def stopped(n: int) -> bool:
+        return gamma(n + 1) >= gamma(n) or gamma(n + 1) <= 0.0
+
+    lo, hi = -1, 0  # the exit lies in (lo, hi] once stopped(hi) holds
+    while not stopped(hi):
+        if hi >= INDEX_LIMIT:
             return Verdict(
-                NO,
+                INCONCLUSIVE,
                 "validate_triplet",
                 VALIDATION_TAG,
-                {"witness_index": n, "gamma": g, "table_case": case},
+                {"searched_to": hi, "table_case": case},
+                note="gamma still decreases where doubles no longer separate consecutive indices",
             )
-        for i in range(len(qs)):  # kernel recurrence q -> x q + n
-            qs[i] = pts[i] * qs[i] + n
-        m = n + 1
-        g_next = 1.0 + b * m + c * m * m + sum(w * q for w, q in zip(wts, qs))
-        if g_next - g >= 0.0:
-            return Verdict(
-                YES,
-                "validate_triplet",
-                VALIDATION_TAG,
-                {"branch": "forward", "settled_at": n, "table_case": case},
-            )
-        g = g_next
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if stopped(mid) else (mid, hi)
+    if gamma(hi + 1) >= gamma(hi):
+        return Verdict(
+            YES,
+            "validate_triplet",
+            VALIDATION_TAG,
+            {"branch": "forward", "settled_at": hi, "table_case": case},
+        )
     return Verdict(
-        INCONCLUSIVE,
+        NO,
         "validate_triplet",
         VALIDATION_TAG,
-        {"steps": max_steps, "table_case": case},
-        note="termination cap reached before the convexity exit",
+        {"witness_index": hi + 1, "gamma": gamma(hi + 1), "table_case": case},
     )
 
 
@@ -368,7 +379,7 @@ def diagonal_triplet(t: ScalarTriplet | ShiftSequences, k: int) -> DiagonalTripl
     gk = s.gamma(k)
     b_k = (s.gamma(k + 1) - gk - t.c) / gk
     c_k = t.c / gk
-    atoms = tuple(
-        (p, p**k * w / gk) for p, w in t.nu.atoms if not (k >= 1 and p == 0.0)
-    )
+    # the origin carries no mass for k >= 1, and masses that underflow drop out too
+    masses = ((p, p**k * w / gk) for p, w in t.nu.atoms)
+    atoms = tuple((p, m) for p, m in masses if m > 0.0)
     return DiagonalTriplet(k, b_k, c_k, AtomicMeasure(atoms))

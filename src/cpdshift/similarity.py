@@ -37,40 +37,27 @@ class ModelDegenerateError(ValueError):
     """The model shift exists only for type III; the completion space is too small."""
 
 
-def similar_by_beta(
-    t: ScalarTriplet | ShiftSequences, n_scan: int = 512, eps_floor: float = 0.0
-) -> Verdict:
+def similar_by_beta(t: ScalarTriplet | ShiftSequences, n_scan: int = 512) -> Verdict:
     """Certify inf beta_n > 0 (bounded invertibility of the model intertwiner).
 
-    Scans beta_n over a finite prefix and, when some atom of nu exceeds 1,
-    adds an asymptotic tail bound
-
-        beta_n >= mass({theta}) theta^n / (P(n) + C theta^n),
-
-    with P a polynomial majorant of the non-dominant part of gamma and C the
-    second resolvent sum over the atoms above 1.  The bound is nondecreasing
-    past n2 ~ (theta+1)/(theta-1), so its value there floors the whole tail.
-    "yes" carries the certified floor; a vanishing beta term is a definitive
-    "no" (the shift lies in the two-parameter family); a positive prefix with
-    no tail certificate is inconclusive.
+    Reads beta_0 .. beta_{n_scan} and, when some atom of nu exceeds 1, floors
+    every later term at once in closed form (see _tail_floor), so the work is
+    n_scan + 1 betas whatever theta is.  "yes" carries the certified floor; a
+    vanishing beta term is a definitive "no" (the shift lies in the
+    two-parameter family); a positive prefix with no tail certificate is
+    inconclusive.
     """
     s = as_sequences(t)
     t = s.triplet
-    theta = t.nu.support_max()
-    n_tail = None
-    if theta > 1.0:
-        n_tail = math.ceil((theta + 1.0) / (theta - 1.0)) + 1
-    n_top = max(n_scan, n_tail or 0)
-
     prefix_min, prefix_argmin = math.inf, None
-    for n in range(n_top + 1):
+    for n in range(n_scan + 1):
         bn = s.beta(n)
         if bn == 0.0:
             return Verdict(
                 NO,
                 "similar_by_beta",
                 BETA_FLOOR_TAG,
-                {"witness_index": n, "scanned_to": n_top},
+                {"witness_index": n, "scanned_to": n_scan},
                 note="a defect term vanishes; the shift lies in the two-parameter model family",
             )
         if bn < prefix_min:
@@ -79,38 +66,38 @@ def similar_by_beta(
     witness = {
         "prefix_min": prefix_min,
         "prefix_argmin": prefix_argmin,
-        "scanned_to": n_top,
+        "scanned_to": n_scan,
     }
-    if theta > 1.0:
-        tail = _tail_floor(t, n_tail, theta)
+    note = "no atom above 1; finite prefix positive but no asymptotic certificate"
+    if t.nu.support_max() > 1.0:
+        tail = _tail_floor(t, n_scan + 1)
         eps = min(prefix_min, tail)
-        witness.update({"tail_floor": tail, "tail_from": n_tail, "eps": eps})
-        if eps > eps_floor:
+        witness.update({"tail_floor": tail, "tail_from": n_scan + 1, "eps": eps})
+        if eps > 0.0:
             return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
-        return Verdict(
-            INCONCLUSIVE,
-            "similar_by_beta",
-            BETA_FLOOR_TAG,
-            witness,
-            note="certified floor does not exceed eps_floor",
-        )
-    return Verdict(
-        INCONCLUSIVE,
-        "similar_by_beta",
-        BETA_FLOOR_TAG,
-        witness,
-        note="no atom above 1; finite prefix positive but no asymptotic certificate",
-    )
+        note = "certified floor underflows to 0"
+    return Verdict(INCONCLUSIVE, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
 
 
-def _tail_floor(t: ScalarTriplet, n: int, theta: float) -> float:
-    mass_top = t.nu.mass_at(theta)
-    c_above = math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0)
+def _tail_floor(t: ScalarTriplet, n_from: int) -> float:
+    """A floor on beta_n for every n >= n_from, when the top atom theta exceeds 1.
+
+    With Q_n(x) <= n^2/2 for x < 1 and Q_n(x) <= x^n/(x-1)^2 for x > 1,
+    gamma_n <= sum_k a_k n^k + C theta^n with a = (1, b+, c + mass below 1 / 2)
+    and C the second resolvent sum above 1, while the defect moment is at
+    least mass({theta}) theta^n.  So beta_n >= mass({theta}) / (sum_k a_k n^k
+    theta^-n + C), and n^k theta^-n peaks over n >= n_from at max(n_from,
+    k / log theta).  Summed in the log domain, as theta^n overflows.
+    """
+    theta = t.nu.support_max()
+    log_theta = math.log1p(theta - 1.0)
     mass_below = math.fsum(w for p, w in t.nu.atoms if p < 1.0)
-    poly = 1.0 + max(t.b, 0.0) * n + t.c * n * n + mass_below * n * (n - 1) / 2.0
-    log_theta_n = n * math.log(theta)
-    log_den = logsumexp([math.log(poly), math.log(c_above) + log_theta_n])
-    return math.exp(math.log(mass_top) + log_theta_n - log_den)
+    logs = [math.log(math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0))]
+    for k, a in enumerate((1.0, max(t.b, 0.0), t.c + mass_below / 2.0)):
+        if a > 0.0:
+            n = max(n_from, k / log_theta)
+            logs.append(math.log(a) + k * math.log(n) - n * log_theta)
+    return math.exp(math.log(t.nu.mass_at(theta)) - logsumexp(logs))
 
 
 def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:

@@ -1,0 +1,66 @@
+"""Seeded property test: similar and model reports finish after bounded work.
+
+Validation makes O(log n) kernel evaluations up to the index limit 2^53, and
+the beta criterion reads exactly n_scan + 1 defects, so the counts below hold
+for every triplet, whatever its slope or its distance of the top atom to 1.
+"""
+
+import math
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cpdshift import AtomicMeasure, ScalarTriplet, ShiftSequences, core
+from cpdshift.cli import model_report, similar_report
+
+N_SCAN, N_MODEL = 512, 32
+# two validations, each at most 4 kernel calls per doubling of the exit index, up to 2^53
+MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
+# the beta scan, beta_1 for each type check, and the model identity check
+MAX_BETA_CALLS = (N_SCAN + 1) + 2 + (N_MODEL + 1)
+
+atoms = st.lists(
+    st.tuples(
+        st.floats(0.0, 20.0).filter(lambda x: x != 1.0),
+        st.floats(-14.0, 2.0).map(lambda e: 10**e),
+    ),
+    max_size=3,
+)
+# an atom 1e-9..1e-2 from 1, on either side, with mass 1e-14..1
+near_one = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-9.0, -2.0), st.floats(-14.0, 0.0))
+
+
+@st.composite
+def triplets(draw):
+    pairs = draw(atoms)
+    near = draw(st.none() | near_one)
+    if near is not None:
+        side, log_d, log_w = near
+        pairs.append((1.0 + side * 10**log_d, 10**log_w))
+    c = draw(st.just(0.0) | st.floats(0.0, 2.0))
+    # steep slopes, and slopes as shallow as -1e-9
+    b = draw(st.floats(-2.0, 2.0) | st.floats(-9.0, 0.0).map(lambda e: -(10**e)))
+    return ScalarTriplet(b, c, AtomicMeasure.from_atoms(pairs))
+
+
+def trip(b, c, pairs):
+    return ScalarTriplet(b, c, AtomicMeasure(tuple(pairs)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(triplets())
+# slopes that turn nonnegative at n = 239791 and n = 2397897, and a top atom 3e-7 above 1
+@example(trip(-1e-6, 0.0, [(1.00001, 1e-12)]))
+@example(trip(-1e-7, 0.0, [(1.000001, 1e-14)]))
+@example(trip(0.5, 0.0, [(0.5, 1.0), (1.0 + 3e-7, 1.0)]))
+def test_reports_do_bounded_work(t):
+    count_gamma = mock.patch.object(core, "_gamma_value", wraps=core._gamma_value)
+    count_beta = mock.patch.object(
+        ShiftSequences, "beta", autospec=True, side_effect=ShiftSequences.beta
+    )
+    with count_gamma as gamma, count_beta as beta:
+        similar_report(t, N_SCAN)
+        model_report(t, N_MODEL)
+    assert gamma.call_count <= MAX_GAMMA_CALLS
+    assert beta.call_count <= MAX_BETA_CALLS

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import cpdshift
 import numpy as np
+import pytest
 from cpdshift import (
+    INCONCLUSIVE,
     YES,
     Verdict,
     alevy_scenario,
@@ -27,7 +29,14 @@ from cpdshift import (
     quasi_affine_test,
     similar_by_beta,
 )
-from cpdshift.cli import compare_report, dumps, load_triplet, main, similar_report
+from cpdshift.cli import (
+    classify_report,
+    compare_report,
+    dumps,
+    load_triplet,
+    main,
+    similar_report,
+)
 
 ATOM2 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[2.0, 1.0]]}}'
 W13 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[0.0, 2.0]]}}'
@@ -35,6 +44,8 @@ QUAD = '{"b": 0.0, "c": 1.0, "nu": {"atoms": []}}'
 ISO = '{"b": 0.0, "c": 0.0, "nu": {"atoms": []}}'
 W05 = '{"b": -0.5, "c": 0.0, "nu": {"atoms": [[0.0, 0.5]]}}'
 SUBN = '{"b": 0.3333333333333333, "c": 0.0, "nu": {"atoms": [[4.0, 1.0]]}}'
+# the first difference of gamma turns nonnegative only at n = 2397897
+LATE = '{"b": -1e-7, "c": 0, "nu": {"atoms": [[1.000001, 1e-14]]}}'
 
 
 def run(capsys, *argv):
@@ -134,6 +145,49 @@ class TestCompare:
         grow = '{"b": 1.0, "c": 0.0, "nu": {"atoms": []}}'
         code, doc = run_json(capsys, "compare", grow, ISO)
         assert code == 0 and doc["verdict"] == "NotSimilar"
+
+
+class TestValidationOutcomes:
+    @pytest.mark.parametrize("cmd", ["classify", "similar"])
+    def test_late_exit_decides(self, capsys, cmd):
+        code, doc = run_json(capsys, cmd, LATE)
+        assert code == 0
+        assert doc["valid"]["witnesses"]["settled_at"] == 2397897
+
+    def test_late_exit_compares(self, capsys):
+        code, doc = run_json(capsys, "compare", LATE, LATE)
+        assert code == 0
+        assert doc["valid_a"]["witnesses"]["settled_at"] == 2397897
+
+    def test_late_exit_series(self, capsys):
+        code, out = run(capsys, "series", LATE, "--n-max", "3")
+        assert code == 0
+        assert len(out.splitlines()) == 5
+
+    @staticmethod
+    def _undecided_on_call(k):
+        """validate_triplet, except that its k-th call (from 0) is inconclusive."""
+        calls = []
+
+        def validate(t):
+            calls.append(t)
+            if len(calls) == k + 1:
+                return Verdict(INCONCLUSIVE, "validate_triplet", "triplet-positivity", {})
+            return cpdshift.validate_triplet(t)
+
+        return validate
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_compare_inconclusive_side(self, monkeypatch, side):
+        monkeypatch.setattr("cpdshift.cli.validate_triplet", self._undecided_on_call(side))
+        report, code = compare_report(load_triplet(ATOM2), load_triplet(ISO), 512)
+        assert (report["verdict"], code) == ("Inconclusive", 2)
+
+    def test_classify_inconclusive(self, monkeypatch):
+        # the same verdict the compare report gives
+        monkeypatch.setattr("cpdshift.cli.validate_triplet", self._undecided_on_call(0))
+        report, code = classify_report(load_triplet(ATOM2), 64)
+        assert (report["verdict"], code) == ("Inconclusive", 2)
 
 
 class TestSeries:
@@ -265,8 +319,8 @@ class TestSharedSequences:
         report, _ = compare_report(ta, tb, 512)
         assert counts["built"] == 2 and counts["validated"] == 2
         assert counts["log_gamma"] <= 2 * (512 + 1)
-        assert report["a_transform_of_b"] == quasi_affine_test(ta, tb, 512).to_json()
-        assert report["b_transform_of_a"] == quasi_affine_test(tb, ta, 512).to_json()
+        assert report["similarity"].witness["forward"] == quasi_affine_test(ta, tb, 512).to_json()
+        assert report["similarity"].witness["backward"] == quasi_affine_test(tb, ta, 512).to_json()
 
     def test_similar_builds_one_sequences(self, monkeypatch):
         t = load_triplet(self.BASE)

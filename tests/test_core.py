@@ -88,13 +88,95 @@ class TestValidation:
         assert v.is_no
         assert v.witness["witness_index"] >= 1
 
-    def test_termination_cap_inconclusive(self):
-        v = validate_triplet(trip(-0.4, 0.0, [(0.5, 0.25)]), max_steps=2)
-        assert v.is_inconclusive
+    def test_slow_exit_decides(self):
+        # gamma falls for three steps before its first difference turns nonnegative
+        t = trip(-0.4, 0.0, [(0.5, 0.25)])
+        v = validate_triplet(t)
+        assert v.is_yes
+        assert v.witness == _linear_scan(t)
+        assert v.witness["settled_at"] == 3
 
     def test_sequences_reject_invalid(self):
         with pytest.raises(InvalidTripletError):
             ShiftSequences(trip(-1.0, 0.0, [(0.0, 1.0)]))
+
+
+def _linear_scan(t):
+    """Reference: step gamma by the kernel recurrence until the convexity exit.
+
+    Returns the witness the forward branch of validate_triplet gives, with the
+    value of a non-positive gamma left out."""
+    pts, wts = [p for p, _ in t.nu.atoms], [w for _, w in t.nu.atoms]
+    qs, g = [0.0] * len(pts), 1.0
+    case = core._admissible_case(t)[0]
+    for n in range(10**7):
+        if g <= 0.0:
+            return {"witness_index": n, "table_case": case}
+        qs = [p * q + n for p, q in zip(pts, qs)]
+        g_next = 1.0 + t.b * (n + 1) + t.c * (n + 1) ** 2 + sum(w * q for w, q in zip(wts, qs))
+        if g_next - g >= 0.0:
+            return {"branch": "forward", "settled_at": n, "table_case": case}
+        g = g_next
+    raise AssertionError("reference scan did not exit")
+
+
+def _late_exit_corpus(seed, count=60):
+    """b < 0 triplets whose first difference turns nonnegative near a drawn index.
+
+    An atom 1e-9..1e-2 above 1 with mass |b| d / expm1(n d) lifts the slope
+    near n; an atom as far below 1 with b = -G1 (1 - x^n) reaches the limit
+    slope b + G1 > 0 as slowly.  Steep slopes make some of them invalid."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        d = 10 ** rng.uniform(-9, -2)
+        n = 10 ** rng.uniform(1, 5)
+        atoms = [(rng.uniform(0.0, 0.9), 10 ** rng.uniform(-3, 0))] if i % 3 == 0 else []
+        if i % 2 == 0:
+            b = -(10 ** rng.uniform(-7, -2))
+            c = 10 ** rng.uniform(-14, -10) if i % 4 == 0 else 0.0
+            atoms.append((1.0 + d, -b * d / math.expm1(n * d)))
+        else:
+            x, c = 1.0 - d, 0.0
+            g1, n = 10 ** rng.uniform(-3, 0), min(n, 20.0 / d)  # b + G1 = G1 x^n >> rounding
+            atoms, b = [(x, g1 * (1.0 - x))], g1 * math.expm1(n * math.log(x))
+        out.append(ScalarTriplet(b, c, AtomicMeasure.from_atoms(atoms)))
+    return out
+
+
+class TestBoundedValidation:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_linear_scan(self, seed):
+        outcomes = set()
+        for t in _late_exit_corpus(seed):
+            v = validate_triplet(t)
+            ref = _linear_scan(t)
+            outcomes.add(v.outcome)
+            if v.is_no:
+                assert v.witness.pop("gamma") <= 0.0
+            assert v.witness == ref, t
+        assert outcomes == {"yes", "no"}
+
+    def test_late_slope_is_logarithmic(self, monkeypatch):
+        # first difference turns nonnegative after ~240k steps
+        calls = []
+        kernel = core._gamma_value
+
+        def counting(t, n):
+            calls.append(n)
+            return kernel(t, n)
+
+        monkeypatch.setattr(core, "_gamma_value", counting)
+        v = validate_triplet(trip(-1e-6, 0.0, [(1.00001, 1e-12)]))
+        assert v.witness["settled_at"] == 239791
+        assert len(calls) <= 4 * math.ceil(math.log2(239791))
+
+    def test_precision_limit_is_inconclusive(self, monkeypatch):
+        # exact integers that decrease and stay positive past every index doubles reach
+        monkeypatch.setattr(core, "_gamma_value", lambda t, n: 2**60 - n)
+        v = validate_triplet(trip(-1.0, 0.0, [(2.0, 1.0)]))
+        assert v.is_inconclusive
+        assert v.witness["searched_to"] == 2**53
 
 
 class TestGamma:

@@ -61,6 +61,41 @@ class TestSimilarByBeta:
         assert v.witness["prefix_min"] > 0.0
 
 
+class TestTailFloor:
+    """The closed-form floor covers every n past the scan, whatever theta is."""
+
+    THETAS = (1.0 + 7.5e-9, 1.0 + 3e-7, 1.0 + 1e-5, 1.004, 2.0, 20.0)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_scan_reads_the_prefix_only(self, theta, monkeypatch):
+        s = ShiftSequences(trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)]))
+        calls = []
+        beta = ShiftSequences.beta
+
+        def counting(self, n):
+            calls.append(n)
+            return beta(self, n)
+
+        monkeypatch.setattr(ShiftSequences, "beta", counting)
+        v = similar_by_beta(s, n_scan=512)
+        assert calls == list(range(513))
+        assert v.is_yes
+        assert v.witness["tail_from"] == 513
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_floor_holds_far_out(self, theta):
+        s = ShiftSequences(trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)]))
+        eps = similar_by_beta(s).witness["eps"]
+        assert eps > 0.0
+        assert all(eps <= s.beta(n) for n in range(513))
+        n = 513
+        while n <= 10**7:
+            # the closed form beta returns, without the weight route beta checks it
+            # against, which loses ~n log(theta) ulps to cancellation this far out
+            assert eps <= math.exp(s.defect_measure.log_moment(n) - s.log_gamma(n)), n
+            n = int(n * 1.7) + 1
+
+
 class TestEndpointAtomCriterion:
     def test_atom_at_two(self):
         v = criterion_kdwq(trip(0.5, 0.0, [(2.0, 1.0)]))
