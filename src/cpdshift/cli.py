@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .core import ScalarTriplet, ShiftSequences, classify_type, validate_triplet
+from .core import ScalarTriplet, ShiftSequences, as_sequences, classify_type, validate_triplet
 from .quasiaffine import intertwiner_defect, similarity_test
 from .similarity import (
     ModelDegenerateError,
@@ -285,11 +285,8 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
     return report, EXIT_DECIDED if not sim.is_inconclusive else EXIT_INCONCLUSIVE
 
 
-def series_rows(t: ScalarTriplet, n_max: int):
-    v = validate_triplet(t)
-    if not v.is_yes:
-        raise InputError(f"triplet is not a valid shift generator: {v.outcome}")
-    seqs = ShiftSequences(t, validation=v)
+def series_rows(t: ScalarTriplet | ShiftSequences, n_max: int):
+    seqs = as_sequences(t)
     for n in range(n_max + 1):
         yield {
             "n": n,
@@ -421,7 +418,13 @@ def main(argv=None) -> int:
 
         if args.cmd == "series":
             t = load_triplet(args.spec)
-            rows = list(series_rows(t, args.n_max))
+            v = validate_triplet(t)
+            if v.is_no:
+                raise InputError(f"triplet is not a valid shift generator: {v.outcome}")
+            if v.is_inconclusive:
+                print(f"inconclusive: {v.note or 'validation undecided'}", file=sys.stderr)
+                return EXIT_INCONCLUSIVE
+            rows = list(series_rows(ShiftSequences(t, validation=v), args.n_max))
             if args.fmt == "csv":
                 print("n,gamma,lambda,beta,log_gamma")
                 for r in rows:

@@ -93,12 +93,22 @@ class DiagonalTriplet:
     nu_k: AtomicMeasure
 
 
+def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
+    """(L, A) = (b - i1, 1 - i2) in gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2.
+
+    i1, i2 are the resolvent sums of nu.  Floats subtract to 0 only when
+    equal, so the signs of L and A compare b with i1 and 1 with i2.
+    """
+    i1, i2 = t.nu.resolvent_integrals()
+    return t.b - i1, 1.0 - i2
+
+
 def _admissible_case(t: ScalarTriplet):
     """Case row of the admissible-b table and, when decidable, the verdict.
 
     Returns (case_number, decided) with decided in {YES, NO, None}.  Only the
-    rows with a closed-form endpoint -G1 decide negative b; b >= 0 is always
-    admissible.
+    rows with a closed-form endpoint -G1 = i1, the first resolvent sum, decide
+    negative b; b >= 0 is always admissible.
     """
     nu = t.nu
     theta = nu.support_max()
@@ -107,18 +117,17 @@ def _admissible_case(t: ScalarTriplet):
     if t.c > 0.0:
         return 2, (YES if t.b >= 0.0 else None)
     # here c == 0 and every atom lies in [0, 1)
-    i1, i2 = nu.resolvent_integrals()
-    g1, g2 = -i1, i2
-    if g2 > 1.0:
+    slope_limit, gamma_limit = limit_coefficients(t)
+    if gamma_limit < 0.0:
         if t.b >= 0.0:
             return 4, YES
-        return 4, (NO if t.b <= -g1 else None)
+        return 4, (NO if slope_limit <= 0.0 else None)
     only_origin = len(nu.atoms) == 1 and nu.atoms[0][0] == 0.0
-    if g2 == 1.0 and only_origin:
-        return 5, (YES if t.b > -g1 else NO)
-    if g2 == 1.0:
-        return 6, (YES if t.b >= -g1 else NO)
-    return 7, (YES if t.b >= -g1 else NO)
+    if gamma_limit == 0.0 and only_origin:
+        return 5, (YES if slope_limit > 0.0 else NO)
+    if gamma_limit == 0.0:
+        return 6, (YES if slope_limit >= 0.0 else NO)
+    return 7, (YES if slope_limit >= 0.0 else NO)
 
 
 def validate_triplet(t: ScalarTriplet) -> Verdict:
@@ -129,18 +138,17 @@ def validate_triplet(t: ScalarTriplet) -> Verdict:
     gamma_{n+1} >= gamma_n (valid forever after) or gamma_{n+1} <= 0 (invalid,
     with witness index) is found by doubling and bisection on the O(1) kernel.
     When c = 0 and the support of nu lies in [0, 1) the first difference may
-    stay negative; its limit b + G1 then settles the verdict in closed form
-    (boundary value: gamma -> 1 - G2).  Inconclusive only when gamma still
-    decreases at 2^53, past which doubles do not separate consecutive indices.
+    stay negative; its limit L (limit_coefficients) then settles the verdict
+    in closed form (boundary value: gamma -> A).  Inconclusive only when gamma
+    still decreases at 2^53, past which doubles do not separate consecutive
+    indices.
     """
     nu = t.nu
     case, decided = _admissible_case(t)
 
     out = None
     if t.c == 0.0 and (nu.is_zero or nu.support_max() < 1.0):
-        i1, i2 = nu.resolvent_integrals()
-        g1, g2 = -i1, i2
-        slope_limit = t.b + g1
+        slope_limit, gamma_limit = limit_coefficients(t)
         if slope_limit < 0.0:
             out = Verdict(
                 NO,
@@ -153,7 +161,6 @@ def validate_triplet(t: ScalarTriplet) -> Verdict:
                 },
             )
         elif slope_limit == 0.0:
-            gamma_limit = 1.0 - g2
             has_positive_point = any(p > 0.0 for p, _ in nu.atoms)
             if gamma_limit > 0.0 or (gamma_limit == 0.0 and has_positive_point):
                 out = Verdict(

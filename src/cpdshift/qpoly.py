@@ -13,16 +13,6 @@ import math
 SERIES_LIMIT = 1e-3
 
 
-def q_poly_sum(n: int, x: float) -> float:
-    """Summation form: sum_{j=0}^{n-2} (n-1-j) x^j, evaluated by Horner (O(n) reference)."""
-    if n < 2:
-        return 0.0
-    acc = 0.0
-    for j in range(n - 2, -1, -1):
-        acc = acc * x + (n - 1 - j)
-    return acc
-
-
 def q_poly_closed(n: int, x: float) -> float:
     """Closed form (x^n - 1 - n(x-1)) / (x-1)^2; undefined at x = 1.
 

@@ -2,9 +2,15 @@
 
 One shift is a quasi-affine transform of another exactly when the ratio of
 their formal moment sequences is bounded; the shifts are similar exactly when
-the ratio is bounded above and away from zero.  At finite truncation the
-classification is necessarily heuristic at the boundary: the verdict records
-the evidence window.
+the ratio is bounded above and away from zero (Shields, *Weighted shift
+operators and analytic function theory*, 1974).
+
+For triplets, their sequences, atomic measures and model shifts the test is
+exact: their moments grow like K r^n n^d with the growth class (r, d, K) in
+closed form, so the ratio om/lam is bounded exactly when (r, d) of om is at
+most that of lam, compared lexicographically.  A finite weight list cannot
+decide boundedness: against one, the test is a heuristic on the trailing
+half of the log ratio, and the verdict records that evidence window.
 """
 
 from __future__ import annotations
@@ -13,21 +19,25 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import ScalarTriplet, ShiftSequences, as_sequences
+from .core import ScalarTriplet, ShiftSequences, as_sequences, limit_coefficients
 from .measures import AtomicMeasure
 from .similarity import ModelShift
 from .verdict import INCONCLUSIVE, NO, YES, Verdict
 
 QUASI_TAG = "moment-ratio-sup"
+GROWTH_TAG = "moment-growth-class"
 SIMILARITY_TAG = "moment-ratio-two-sided"
 INTERTWINER_TAG = "diagonal-intertwiner"
 ALEVY_TAG = "unbounded-moments-vs-contractive"
 
 DEFAULT_N = 512
-# nats/step: log-ratio slopes beyond this are classified unbounded; within it,
-# a drift-bounded window is classified bounded.
+# weight lists only, nats/step: log-ratio slopes beyond this are classified
+# unbounded; within it, a drift-bounded window is classified bounded.
 SLOPE_TOL = 1e-3
 WINDOW_DRIFT_TOL = 1.0
+
+# the sources whose moments have a closed-form growth class
+CLASSED = (ScalarTriplet, ShiftSequences, AtomicMeasure, ModelShift)
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,7 @@ class MomentSource:
 
     @classmethod
     def from_weights(cls, weights: Sequence[float]) -> "MomentSource":
+        """Moments of a finite weight list; quasi_affine_test reads it by a heuristic."""
         ws = [float(w) for w in weights]
         if any(not (w > 0.0) for w in ws):
             raise ValueError("weights must be positive")
@@ -60,9 +71,13 @@ class MomentSource:
 
     @classmethod
     def from_measure(cls, m: AtomicMeasure) -> "MomentSource":
-        if m.is_zero or m.support_max() == 0.0:
-            raise ValueError("measure must charge a positive point to generate positive moments")
+        _require_positive_moments(m)
         return cls(m.log_moment, None, "measure")
+
+
+def _require_positive_moments(m: AtomicMeasure) -> None:
+    if m.is_zero or m.support_max() == 0.0:
+        raise ValueError("measure must charge a positive point to generate positive moments")
 
 
 def as_moment_source(obj) -> MomentSource:
@@ -79,39 +94,79 @@ def as_moment_source(obj) -> MomentSource:
     raise TypeError(f"cannot interpret {type(obj).__name__} as a moment source")
 
 
-def _effective_n(n_max: int, *sources: MomentSource) -> int:
-    n = n_max
-    for s in sources:
-        if s.max_index is not None:
-            n = min(n, s.max_index)
-    if n < 8:
-        raise ValueError("need at least 8 moments to classify a ratio")
-    return n
+def growth_class(obj) -> tuple[float, int, float]:
+    """(r, d, K) with n-th moment ~ K r^n n^d, for a triplet, its sequences,
+    an atomic measure or a model shift (its Berger measure).
+
+    A triplet's gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2 (see
+    core.limit_coefficients): its top atom theta leads when theta > 1, else
+    the first of c n^2, L n and A with a positive coefficient, else the top
+    atom below 1.  A measure's moments are led by the mass at its top point.
+    """
+    if isinstance(obj, ModelShift):
+        obj = obj.berger
+    if isinstance(obj, AtomicMeasure):
+        _require_positive_moments(obj)
+        top, mass = obj.atoms[-1]
+        return top, 0, mass
+    t = as_sequences(obj).triplet
+    top, mass = t.nu.atoms[-1] if t.nu.atoms else (0.0, 0.0)
+    if top < 1.0:
+        slope, constant = limit_coefficients(t)
+        for d, coeff in ((2, t.c), (1, slope), (0, constant)):
+            if coeff > 0.0:
+                return 1.0, d, coeff
+    # validation leaves L = A = 0 below 1 only with an atom in (0, 1)
+    return top, 0, mass / (top - 1.0) ** 2
 
 
 def quasi_affine_test(lam_hat, om_hat, n_max: int = DEFAULT_N) -> Verdict:
     """Is sup of (om-moments / lam-moments) finite?
 
-    Works on log ratios; the least-squares slope over the trailing half window
+    Decided by the growth classes when both sides have one: the ratio tends
+    to K_om / K_lam when the two (r, d) agree, to 0 when om's is lower and
+    to infinity when it is higher.  Against a weight list, n_max bounds the
+    window of the heuristic.
+    """
+    if not (isinstance(lam_hat, CLASSED) and isinstance(om_hat, CLASSED)):
+        return _window_heuristic(as_moment_source(lam_hat), as_moment_source(om_hat), n_max)
+    lam, om = growth_class(lam_hat), growth_class(om_hat)
+    if om[:2] == lam[:2]:
+        limit = om[2] / lam[2]
+    else:
+        limit = 0.0 if om[:2] < lam[:2] else math.inf
+    witness = {"class_lam": lam, "class_om": om, "limit_ratio": limit}
+    return Verdict(YES if om[:2] <= lam[:2] else NO, "quasi_affine_test", GROWTH_TAG, witness)
+
+
+def _ls_slope(ys: list[float]) -> float:
+    """Least-squares slope of ys against their indices."""
+    m = len(ys)
+    mid, mean = (m - 1) / 2.0, math.fsum(ys) / m
+    return math.fsum((k - mid) * (y - mean) for k, y in enumerate(ys)) / (m * (m * m - 1) / 12.0)
+
+
+def _window_heuristic(lam: MomentSource, om: MomentSource, n_max: int) -> Verdict:
+    """Heuristic for a finite weight list, which cannot show boundedness.
+
+    The least-squares slope of the log ratio over the trailing half window
     decides: clearly positive slope means unbounded, clearly negative means
     bounded, and a flat window is bounded when its drift stays small.
     """
-    import numpy as np
-
-    lam = as_moment_source(lam_hat)
-    om = as_moment_source(om_hat)
-    n = _effective_n(n_max, lam, om)
-    log_r = np.array([om.log_moment(k) - lam.log_moment(k) for k in range(n + 1)])
+    n = min([n_max] + [s.max_index for s in (lam, om) if s.max_index is not None])
+    if n < 8:
+        raise ValueError("need at least 8 moments to classify a ratio")
+    log_r = [om.log_moment(k) - lam.log_moment(k) for k in range(n + 1)]
     window = log_r[n // 2 :]
-    slope = float(np.polyfit(np.arange(n // 2, n + 1), window, 1)[0])
-    sup_idx = int(np.argmax(log_r))
-    sup_log = float(log_r[sup_idx])
+    slope = _ls_slope(window)
+    sup_idx = max(range(n + 1), key=log_r.__getitem__)
+    sup_log = log_r[sup_idx]
     witness = {
         "n_max": n,
         "slope": slope,
         "sup_log_ratio": sup_log,
         "sup_index": sup_idx,
-        "window_drift": float(window.max() - window.min()),
+        "window_drift": max(window) - min(window),
     }
     if sup_log < 700.0:
         witness["sup_ratio"] = math.exp(sup_log)
@@ -132,7 +187,10 @@ def quasi_affine_test(lam_hat, om_hat, n_max: int = DEFAULT_N) -> Verdict:
 
 
 def similarity_test(lam_hat, om_hat, n_max: int = DEFAULT_N) -> Verdict:
-    """Ratio bounded above and below away from 0: the shifts are similar."""
+    """Ratio bounded above and below away from 0: the shifts are similar.
+
+    With growth classes on both sides: exactly when the two (r, d) agree.
+    """
     forward = quasi_affine_test(lam_hat, om_hat, n_max)
     backward = quasi_affine_test(om_hat, lam_hat, n_max)
     witness = {"forward": forward.to_json(), "backward": backward.to_json()}
@@ -160,24 +218,20 @@ def _weights_from_source(src: MomentSource, count: int) -> list[float]:
 
 
 def intertwiner_defect(lam_hat, om_hat, m: int = 32):
-    """Max interior entry of X W_lam - W_om X for the diagonal ratio intertwiner.
+    """Max entry of X W_lam - W_om X for the diagonal ratio intertwiner X.
 
-    Returns (defect, scale): the identity is exact except at the truncation
-    boundary, so only the first m columns of the (m+1)-square truncations are
-    compared.
+    X = diag(sqrt(om-moment_n / lam-moment_n)).  Both products vanish off the
+    subdiagonal, whose n-th entries are x_{n+1} w_lam_n and w_om_n x_n.
+    Returns (defect, scale) over the first m columns of the (m+1)-square
+    truncations, where the identity is exact but for rounding.
     """
-    import numpy as np
-
     lam = as_moment_source(lam_hat)
     om = as_moment_source(om_hat)
-    size = m + 1
-    w_lam = shift_matrix(_weights_from_source(lam, size), size)
-    w_om = shift_matrix(_weights_from_source(om, size), size)
-    x = np.diag([math.exp(0.5 * (om.log_moment(n) - lam.log_moment(n))) for n in range(size)])
-    lhs = x @ w_lam
-    rhs = w_om @ x
-    defect = float(np.abs((lhs - rhs)[:, :m]).max())
-    scale = float(max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300))
+    x = [math.exp(0.5 * (om.log_moment(n) - lam.log_moment(n))) for n in range(m + 1)]
+    lhs = [x[n + 1] * w for n, w in enumerate(_weights_from_source(lam, m))]
+    rhs = [w * x[n] for n, w in enumerate(_weights_from_source(om, m))]
+    defect = max([0.0] + [abs(a - b) for a, b in zip(lhs, rhs)])
+    scale = max([1e-300] + [abs(v) for v in lhs + rhs])
     return defect, scale
 
 

@@ -189,6 +189,14 @@ class TestValidationOutcomes:
         report, code = classify_report(load_triplet(ATOM2), 64)
         assert (report["verdict"], code) == ("Inconclusive", 2)
 
+    def test_series_inconclusive(self, monkeypatch, capsys):
+        # the exit code the other reports give, the reason on stderr
+        monkeypatch.setattr("cpdshift.cli.validate_triplet", self._undecided_on_call(0))
+        code = main(["series", ATOM2])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("inconclusive")
+
 
 class TestSeries:
     def test_csv_shape(self, capsys):
@@ -328,19 +336,24 @@ class TestSharedSequences:
         similar_report(t, 512)
         assert counts["built"] == 1 and counts["validated"] == 1
 
-    def test_similar_does_not_import_numpy(self):
-        # classify and model as well: none of the three needs numpy
-        code = (
-            "import sys; from cpdshift.cli import main; "
-            f"[main([cmd, {ATOM2!r}]) for cmd in ('classify', 'similar', 'model')]; "
-            "print('numpy' in sys.modules)"
-        )
+    @staticmethod
+    def _imports_numpy(calls: str) -> bool:
+        """Whether a fresh process that makes the given main() calls loads numpy."""
+        code = f"import sys; from cpdshift.cli import main; {calls}; print('numpy' in sys.modules)"
         src = str(Path(cpdshift.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.splitlines()[-1] == "False"
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_similar_does_not_import_numpy(self):
+        # classify and model as well: none of the three needs numpy
+        cmds = "('classify', 'similar', 'model')"
+        assert not self._imports_numpy(f"[main([cmd, {ATOM2!r}]) for cmd in {cmds}]")
+
+    def test_compare_does_not_import_numpy(self):
+        assert not self._imports_numpy(f"main(['compare', {ATOM2!r}, {ISO!r}])")
 
     # every triplet-level procedure, with its other arguments fixed
     PROCEDURES = (

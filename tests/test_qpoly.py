@@ -11,9 +11,18 @@ from cpdshift.qpoly import (
     q_poly,
     q_poly_closed,
     q_poly_log,
-    q_poly_sum,
     q_recurrence_check,
 )
+
+
+def q_poly_sum(n: int, x: float) -> float:
+    """Summation form: sum_{j=0}^{n-2} (n-1-j) x^j, evaluated by Horner (O(n) reference)."""
+    if n < 2:
+        return 0.0
+    acc = 0.0
+    for j in range(n - 2, -1, -1):
+        acc = acc * x + (n - 1 - j)
+    return acc
 
 
 @pytest.mark.parametrize("x", [-3.0, 0.0, 0.5, 1.0, 2.0, 17.5])
