@@ -15,8 +15,8 @@ import math
 import os
 import sys
 
-from .core import ScalarTriplet, ShiftSequences, as_sequences, classify_type, validate_triplet
-from .quasiaffine import intertwiner_defect, similarity_test
+from .core import ScalarTriplet, ShiftSequences, classify_type, validate_triplet
+from .quasiaffine import DEFAULT_N, intertwiner_defect, similarity_test
 from .similarity import (
     ModelDegenerateError,
     b2_identity_check,
@@ -262,6 +262,10 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
 
 
 def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[dict, int]:
+    """Similarity of two triplets by their growth classes, and the intertwiner check.
+
+    n_max is unused: the growth classes of two triplets need no window.
+    """
     report: dict = {"command": "compare", "input_a": ta, "input_b": tb}
     seqs = []
     for name, t in (("a", ta), ("b", tb)):
@@ -272,7 +276,7 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
             return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
         seqs.append(ShiftSequences(t, validation=v))
     seqs_a, seqs_b = seqs
-    sim = similarity_test(seqs_a, seqs_b, n_max)
+    sim = similarity_test(seqs_a, seqs_b)
     defect, scale = intertwiner_defect(seqs_a, seqs_b, m=32)
     report["similarity"] = sim
     report["intertwiner"] = {
@@ -285,8 +289,7 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
     return report, EXIT_DECIDED if not sim.is_inconclusive else EXIT_INCONCLUSIVE
 
 
-def series_rows(t: ScalarTriplet | ShiftSequences, n_max: int):
-    seqs = as_sequences(t)
+def series_rows(seqs: ShiftSequences, n_max: int):
     for n in range(n_max + 1):
         yield {
             "n": n,
@@ -322,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
-    p.add_argument("--n-max", type=int, default=512)
 
     p = sub.add_parser("series")
     p.add_argument("spec")
@@ -412,7 +414,7 @@ def main(argv=None) -> int:
         if args.cmd == "compare":
             ta = load_triplet(args.spec_a)
             tb = load_triplet(args.spec_b)
-            report, code = compare_report(ta, tb, args.n_max)
+            report, code = compare_report(ta, tb, DEFAULT_N)
             _print_report(report)
             return code
 

@@ -8,7 +8,8 @@ operators and analytic function theory*, 1974).
 For triplets, their sequences, atomic measures and model shifts the test is
 exact: their moments grow like K r^n n^d with the growth class (r, d, K) in
 closed form, so the ratio om/lam is bounded exactly when (r, d) of om is at
-most that of lam, compared lexicographically.  A finite weight list cannot
+most that of lam, compared lexicographically.  A triplet's linear and
+constant coefficients count as 0 within the rounding of their inputs.  A finite weight list cannot
 decide boundedness: against one, the test is a heuristic on the trailing
 half of the log ratio, and the verdict records that evidence window.
 """
@@ -16,6 +17,7 @@ half of the log ratio, and the verdict records that evidence window.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +37,9 @@ DEFAULT_N = 512
 # unbounded; within it, a drift-bounded window is classified bounded.
 SLOPE_TOL = 1e-3
 WINDOW_DRIFT_TOL = 1.0
+# relative size below which a computed leading coefficient L or A of a
+# triplet cannot be told from 0
+ROUNDING = 16 * sys.float_info.epsilon
 
 # the sources whose moments have a closed-form growth class
 CLASSED = (ScalarTriplet, ShiftSequences, AtomicMeasure, ModelShift)
@@ -102,6 +107,11 @@ def growth_class(obj) -> tuple[float, int, float]:
     core.limit_coefficients): its top atom theta leads when theta > 1, else
     the first of c n^2, L n and A with a positive coefficient, else the top
     atom below 1.  A measure's moments are led by the mass at its top point.
+
+    L and A are differences of rounded inputs: a value within ROUNDING of
+    the terms it is computed from counts as 0.  So W(a, 1), whose L is 0 but
+    for the rounding of a - 1 and 1 - a, keeps the class of its Berger
+    measure, as is_subnormal's tolerance on b - i1 does.
     """
     if isinstance(obj, ModelShift):
         obj = obj.berger
@@ -113,10 +123,18 @@ def growth_class(obj) -> tuple[float, int, float]:
     top, mass = t.nu.atoms[-1] if t.nu.atoms else (0.0, 0.0)
     if top < 1.0:
         slope, constant = limit_coefficients(t)
-        for d, coeff in ((2, t.c), (1, slope), (0, constant)):
-            if coeff > 0.0:
+        # scales |b| + |i1| and 1 + i2 (every atom lies below 1, so i1 <= 0 <= i2)
+        leading = (
+            (2, t.c, 0.0),
+            (1, slope, abs(t.b) + abs(t.b - slope)),
+            (0, constant, 2.0 - constant),
+        )
+        for d, coeff, scale in leading:
+            if coeff > ROUNDING * scale:
                 return 1.0, d, coeff
-    # validation leaves L = A = 0 below 1 only with an atom in (0, 1)
+        if top <= 0.0:  # no atom in (0, 1): gamma_n = A + L n for n >= 1, both rounding-level
+            return next((1.0, d, coeff) for d, coeff, _ in leading if coeff > 0.0)
+    # theta > 1, or below 1 an atom in (0, 1) leads a rounding-level L and A
     return top, 0, mass / (top - 1.0) ** 2
 
 

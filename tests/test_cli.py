@@ -290,6 +290,10 @@ class TestUsageErrors:
     def test_missing_operand_is_input_error(self, capsys):
         assert main(["compare", ATOM2]) == 1
 
+    def test_compare_takes_no_window(self, capsys):
+        # the growth classes of two triplets need no --n-max
+        assert main(["compare", ATOM2, ISO, "--n-max", "16"]) == 1
+
     def test_subnormal_reads_its_flags(self, capsys):
         code, doc = run_json(capsys, "subnormal", ATOM2, "--tol", "1e-6", "--hankel-order", "6")
         assert code == 0 and doc["verdict"] == "NotSubnormal"

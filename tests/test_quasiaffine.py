@@ -19,6 +19,7 @@ from cpdshift import (
     zero_measure,
 )
 from cpdshift.cli import compare_report, load_triplet
+from cpdshift.core import limit_coefficients, validate_triplet
 from cpdshift.quasiaffine import growth_class
 
 ISO = ScalarTriplet(0.0, 0.0, zero_measure())
@@ -195,6 +196,24 @@ class TestGrowthClass:
         # gamma_n = 0.5^n: b = i1 and A = 1 - i2 = 0
         assert growth_class(trip(-0.5, 0.0, [(0.5, 0.25)])) == (0.5, 0, 1.0)
         assert growth_class(AtomicMeasure(((0.5, 0.2), (3.0, 0.7)))) == (3.0, 0, 0.7)
+
+    def test_rounding_level_coefficients_count_as_zero(self):
+        # W(a, 1) has L = (a - 1) + (1 - 2a + a) = 0, which rounds to +1.1e-16 for
+        # some a: such a triplet keeps the class (1, 0, a) of its Berger measure
+        rounded = 0
+        for k in range(1, 1000):
+            w = wab_classify(k / 1000, 1.0)
+            if not validate_triplet(w.triplet).is_yes:
+                continue  # L rounds below 0
+            rounded += limit_coefficients(w.triplet)[0] > 0.0
+            v = similarity_test(w.triplet, w.berger)
+            assert v.is_yes, k
+            assert v.witness["forward"]["witnesses"]["limit_ratio"] == pytest.approx(1.0)
+        assert rounded > 0
+        # no atom in (0, 1) and both L and A at rounding level: the first positive leads
+        w = 1.0 - 2.0**-52
+        assert growth_class(trip(-w, 0.0, [(0.0, w)])) == (1.0, 0, 2.0**-52)
+        assert growth_class(trip(2.0**-52 - w, 0.0, [(0.0, w)])) == (1.0, 1, 2.0**-52)
 
     def test_unbounded_direction_reads_infinity(self):
         v = quasi_affine_test(ISO, TWO_ISO)
