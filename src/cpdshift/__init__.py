@@ -15,7 +15,7 @@ from .core import (
     validate_triplet,
 )
 from .measures import AtomicMeasure, ResolventIntegrals, point_mass, zero_measure
-from .qpoly import q_poly, q_recurrence_check
+from .qpoly import q_poly
 from .quasiaffine import (
     MomentSource,
     alevy_scenario,
@@ -107,7 +107,6 @@ __all__ = [
     "necessary_conditions",
     "point_mass",
     "q_poly",
-    "q_recurrence_check",
     "quasi_affine_test",
     "shift_matrix",
     "similar_by_beta",

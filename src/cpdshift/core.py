@@ -8,6 +8,11 @@ having no atom at 1 generates the candidate formal moment sequence
 When every gamma_n is positive, lambda_n = sqrt(gamma_{n+1} / gamma_n) are the
 weights of a bounded shift with formal moments gamma, and its defects beta_n =
 1 - 2 lambda_n^2 + lambda_n^2 lambda_{n+1}^2 equal (2c + nu-moment_n) / gamma_n.
+
+All of them are read from one scaled value per index, g_n = gamma_n theta^-n with
+theta = max(1, top atom of nu), which stays in the double range at every n:
+lambda_n^2 = theta g_{n+1} / g_n, log gamma_n = n log theta + log g_n, and
+beta_n = (sum w (x/theta)^n + 2c theta^-n) / g_n.
 """
 
 from __future__ import annotations
@@ -16,14 +21,11 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .measures import AtomicMeasure, logsumexp
-from .qpoly import q_poly, q_poly_log
+from .measures import AtomicMeasure
+from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Verdict
 
-# gamma values beyond this are evaluated in the log domain only.
-OVERFLOW_LIMIT = 1e300
-
-# gamma_n and log gamma_n are kept for n < PREFIX_WINDOW, so long scans hold no more
+# g_n and log gamma_n are kept for n < PREFIX_WINDOW, so long scans hold no more
 # memory; blocks end at FIRST_BLOCK 2^k: 68 and 544 hold what 64/512-term beta scans read.
 PREFIX_WINDOW = 4096
 FIRST_BLOCK = 34
@@ -230,30 +232,39 @@ def _forward_scan(t: ScalarTriplet, case: int) -> Verdict:
     )
 
 
-def _gamma_pair(t: ScalarTriplet, n: int, qs) -> tuple[float, float]:
-    """gamma_n from Q_n(x) per atom in one fsum, and its log (nan if gamma_n <= 0).
-
-    From OVERFLOW_LIMIT on, the log takes the atoms above 1 from q_poly_log and
-    drops a negative rest, which is then below 1e-280 of gamma_n."""
-    head = [1.0, t.b * n, t.c * n * n]
+def _scaled_pair(t: ScalarTriplet, n: int, u: float, ss, log_theta: float) -> tuple[float, float]:
+    """(g_n, log gamma_n) in one fsum, from u = theta^-n and Q_n(x) theta^-n per atom;
+    g_n saturates to +inf past the double range, log gamma_n is nan if g_n <= 0."""
+    terms = [u, t.b * n * u, t.c * n * n * u] + [w * s for (_, w), s in zip(t.nu.atoms, ss)]
     try:
-        g = math.fsum(head + [w * q for (_, w), q in zip(t.nu.atoms, qs)])
+        g = math.fsum(terms)
     except OverflowError:
         g = math.inf
-    if g < OVERFLOW_LIMIT:
-        return g, (math.log(g) if g > 0.0 else math.nan)
-    rest = math.fsum(head + [w * q for (p, w), q in zip(t.nu.atoms, qs) if p < 1.0])
-    logs = [math.log(w) + q_poly_log(n, p) for p, w in t.nu.atoms if p > 1.0]
-    return g, logsumexp(logs + [math.log(rest)] if rest > 0.0 else logs)
+    return g, (n * log_theta + math.log(g) if g > 0.0 else math.nan)
+
+
+def _theta(t: ScalarTriplet) -> float:
+    return max(1.0, t.nu.support_max())
+
+
+def _far_pair(t: ScalarTriplet, n: int) -> tuple[float, float]:
+    """(g_n, log gamma_n) from the O(1) scaled kernel, for indices past the prefix."""
+    theta = _theta(t)
+    ss = [q_poly_scaled(n, p, theta) for p, _ in t.nu.atoms]
+    return _scaled_pair(t, n, theta**-n, ss, math.log1p(theta - 1.0))
+
+
+def _unscale(g: float, theta: float, n: int) -> float:
+    """gamma_n = g_n theta^n; +inf when it overflows the double range."""
+    try:
+        return g * theta**n
+    except OverflowError:
+        return math.inf
 
 
 def _gamma_value(t: ScalarTriplet, n: int) -> float:
-    """gamma_n from the O(1) kernel, for indices past the prefix."""
-    return _gamma_pair(t, n, [q_poly(n, p) for p, _ in t.nu.atoms])[0]
-
-
-def _log_gamma_value(t: ScalarTriplet, n: int) -> float:
-    return _gamma_pair(t, n, [q_poly(n, p) for p, _ in t.nu.atoms])[1]
+    """gamma_n from the O(1) kernel, for the validation scan."""
+    return _unscale(_far_pair(t, n)[0], _theta(t), n)
 
 
 def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
@@ -266,13 +277,14 @@ def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
 class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
 
-    The single per-triplet owner of the validation verdict, of the gamma prefix
-    and of the defect measure nu + 2c at 1: criteria, moment sources and
+    The single per-triplet owner of the validation verdict, of the scaled prefix
+    g_n and of the defect measure nu + 2c at 1: criteria, moment sources and
     reports take one instance in place of the triplet instead of evaluating again.
 
-    Each prefix block seeds Q_n(x) per atom from q_poly and steps it with the
-    recurrence, so values do not depend on the order of reads.  The prefix is
-    an immutable tuple published by one assignment, so it needs no lock.
+    Each prefix block seeds Q_n(x) theta^-n per atom from q_poly_scaled and steps
+    it with S_{m+1} = (x/theta) S_m + m theta^-(m+1), so values do not depend on
+    the order of reads.  The prefix is an immutable tuple published by one
+    assignment, so it needs no lock.
     """
 
     def __init__(self, triplet: ScalarTriplet, validation: Verdict | None = None):
@@ -284,40 +296,48 @@ class ShiftSequences:
         self.triplet = triplet
         self.validation = v
         self.defect_measure = defect_moment_measure(triplet)
+        self.theta = _theta(triplet)
+        self.log_theta = math.log1p(self.theta - 1.0)
         self._prefix: tuple[tuple[float, float], ...] = ()
 
-    def _prefix_to(self, n: int) -> tuple[tuple[float, float], ...]:
-        """The published (gamma, log gamma) prefix, first grown block by block past n."""
-        if n < 0:
-            raise ValueError("index must be nonnegative")
+    def _scaled(self, n: int) -> tuple[float, float]:
+        """(g_n, log gamma_n): past the window from the kernel, else from the prefix."""
         prefix = self._prefix
+        if n >= len(prefix):
+            if n >= PREFIX_WINDOW:
+                return _far_pair(self.triplet, n)
+            prefix = self._grow(n)
+        elif n < 0:
+            raise ValueError("index must be nonnegative")
+        return prefix[n]
+
+    def _grow(self, n: int) -> tuple[tuple[float, float], ...]:
+        """The published prefix, first grown block by block past n."""
+        prefix, t, theta, log_theta = self._prefix, self.triplet, self.theta, self.log_theta
+        ratios = [p / theta for p, _ in t.nu.atoms]
         while len(prefix) <= n:
-            start, pts = len(prefix), [p for p, _ in self.triplet.nu.atoms]
-            qs = [q_poly(start, p) for p in pts]
+            start = len(prefix)
+            u, ss = theta**-start, [q_poly_scaled(start, p, theta) for p, _ in t.nu.atoms]
             block = []
             for m in range(start, min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK))):
-                block.append(_gamma_pair(self.triplet, m, qs))
-                qs = [p * q + m for p, q in zip(pts, qs)]
+                block.append(_scaled_pair(t, m, u, ss, log_theta))
+                u /= theta
+                ss = [r * s + m * u for r, s in zip(ratios, ss)]
             self._prefix = prefix = prefix + tuple(block)
         return prefix
 
     def gamma(self, n: int) -> float:
         """gamma_n in double precision; +inf when it overflows the double range."""
-        if n >= PREFIX_WINDOW:
-            return _gamma_value(self.triplet, n)
-        return self._prefix_to(n)[n][0]
+        return _unscale(self._scaled(n)[0], self.theta, n)
 
     def log_gamma(self, n: int) -> float:
-        lg = _log_gamma_value(self.triplet, n) if n >= PREFIX_WINDOW else self._prefix_to(n)[n][1]
+        lg = self._scaled(n)[1]
         if math.isnan(lg):
             raise ArithmeticError(f"gamma_{n} is not positive in double precision")
         return lg
 
     def weight(self, n: int) -> float:
-        g1 = self.gamma(n + 1)
-        if g1 < OVERFLOW_LIMIT:
-            return math.sqrt(g1 / self.gamma(n))
-        return math.exp(0.5 * (self.log_gamma(n + 1) - self.log_gamma(n)))
+        return math.sqrt(self.theta * self._scaled(n + 1)[0] / self._scaled(n)[0])
 
     def beta(self, n: int) -> float:
         """Defect beta_n, computed both from the weights and in closed form.
@@ -325,29 +345,16 @@ class ShiftSequences:
         The closed form is returned; disagreement beyond 1e-9 signals an
         implementation bug and raises rather than averaging.
         """
-        g2 = self.gamma(n + 2)
-        if g2 < OVERFLOW_LIMIT:
-            g0, g1 = self.gamma(n), self.gamma(n + 1)
-            closed = self.defect_measure.moment(n) / g0
-            sq_a, sq_b = g1 / g0, g2 / g1
-        else:
-            lg0 = self.log_gamma(n)
-            lg1 = self.log_gamma(n + 1)
-            lg2 = self.log_gamma(n + 2)
-            closed = math.exp(self.defect_measure.log_moment(n) - lg0)
-            sq_a, sq_b = math.exp(lg1 - lg0), math.exp(lg2 - lg1)
+        theta = self.theta
+        g0, g1, g2 = self._scaled(n)[0], self._scaled(n + 1)[0], self._scaled(n + 2)[0]
+        closed = math.fsum([w * (p / theta) ** n for p, w in self.defect_measure.atoms]) / g0
+        sq_a, sq_b = theta * g1 / g0, theta * g2 / g1
         direct = 1.0 - 2.0 * sq_a + sq_a * sq_b
         if abs(direct - closed) > BETA_AGREEMENT_RTOL * max(1.0, abs(closed)):
             raise ArithmeticError(
                 f"defect mismatch at n={n}: weights give {direct!r}, closed form {closed!r}"
             )
         return closed
-
-    def weights(self, count: int) -> list[float]:
-        return [self.weight(n) for n in range(count)]
-
-    def gammas(self, count: int) -> list[float]:
-        return [self.gamma(n) for n in range(count)]
 
 
 def as_sequences(t: ScalarTriplet | ShiftSequences) -> ShiftSequences:

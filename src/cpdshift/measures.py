@@ -18,15 +18,6 @@ from .qpoly import q_poly
 MERGE_RTOL = 1e-12
 
 
-def logsumexp(values) -> float:
-    """log of the sum of exp(v) over finite values, without overflow; -inf for none."""
-    vals = list(values)
-    if not vals:
-        return -math.inf
-    top = max(vals)
-    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
-
-
 class ResolventIntegrals(NamedTuple):
     """sum w/(x-1) and sum w/(x-1)^2 over the atoms.
 
@@ -145,10 +136,13 @@ class AtomicMeasure:
             return math.inf
 
     def log_moment(self, n: int) -> float:
-        """log of the n-th moment, safe far beyond double-precision overflow."""
+        """log of the n-th moment, n log(top) + log sum m (p/top)^n, safe beyond overflow."""
         if n == 0:
             return math.log(self.total_mass()) if self.atoms else -math.inf
-        return logsumexp(math.log(m) + n * math.log(p) for p, m in self.atoms if p > 0.0)
+        top = self.support_max()
+        if not top > 0.0:
+            return -math.inf
+        return n * math.log(top) + math.log(math.fsum(m * (p / top) ** n for p, m in self.atoms))
 
     def integrate_q(self, n: int) -> float:
         """Integral of the kernel polynomial q_poly(n, .) against the measure."""

@@ -2,7 +2,8 @@
 
 ``q_poly(n, x)`` evaluates the degree-(n-2) polynomial whose second difference
 in n is x**n; it is the kernel that turns a measure into a moment-like
-sequence.  Every evaluation is O(1) in n.
+sequence.  ``q_poly_scaled(n, x, theta)`` is Q_n(x) theta^-n, which stays in
+the double range however large n is.  Every evaluation is O(1) in n.
 """
 
 from __future__ import annotations
@@ -46,26 +47,23 @@ def q_poly(n: int, x: float) -> float:
     return q_poly_closed(n, x)
 
 
-def q_poly_log(n: int, x: float) -> float:
-    """log of q_poly(n, x) for x > 1, stable for n far beyond double overflow.
+def q_poly_scaled(n: int, x: float, theta: float) -> float:
+    """Q_n(x) theta^-n for 0 <= x <= theta and theta >= 1; exactly q_poly at theta = 1.
 
-    The log of the series value while n (x-1) <= SERIES_LIMIT; otherwise, with
-    d = x - 1, q = (1+d)^n (1 - (1 + n d)/(1+d)^n) / d^2, with the inner ratio
-    taken through log1p/expm1 so that no step cancels.
+    q_poly(n, x) theta^-n while n (x - 1) < 1, else, with d = x - 1,
+    (x/theta)^n (1 - (1 + n d) x^-n) / d^2.  The ratio x/theta is rounded once
+    and raised to n, as the prefix step and beta's numerator do, so all three
+    see the same rounded atom (and x = theta gives exactly 1).
     """
+    d = x - 1.0
+    if n * d < 1.0:
+        return q_poly(n, x) * theta**-n
+    rest = -math.expm1(math.log1p(n * d) - n * math.log1p(d))
+    return (x / theta) ** n * rest / (d * d)
+
+
+def q_poly_log(n: int, x: float) -> float:
+    """log q_poly(n, x) for x > 1, from the scaled kernel at theta = x."""
     if x <= 1.0:
         raise ValueError("log evaluation requires x > 1")
-    if n < 2:
-        return -math.inf
-    d = x - 1.0
-    if n * d <= SERIES_LIMIT:
-        return math.log(q_poly(n, x))
-    log_pow = n * math.log1p(d)
-    return log_pow + math.log(-math.expm1(math.log1p(n * d) - log_pow)) - 2.0 * math.log(d)
-
-
-def q_recurrence_check(n: int, x: float, tol: float = 1e-10) -> bool:
-    """Check the step identity q_poly(n+1, x) == x*q_poly(n, x) + n within tol."""
-    lhs = q_poly(n + 1, x)
-    rhs = x * q_poly(n, x) + n
-    return abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
+    return n * math.log1p(x - 1.0) + math.log(q_poly_scaled(n, x, x)) if n >= 2 else -math.inf

@@ -229,12 +229,6 @@ def shift_matrix(weights: Sequence[float], size: int):
     return mat
 
 
-def _weights_from_source(src: MomentSource, count: int) -> list[float]:
-    return [
-        math.exp(0.5 * (src.log_moment(n + 1) - src.log_moment(n))) for n in range(count)
-    ]
-
-
 def intertwiner_defect(lam_hat, om_hat, m: int = 32):
     """Max entry of X W_lam - W_om X for the diagonal ratio intertwiner X.
 
@@ -243,11 +237,12 @@ def intertwiner_defect(lam_hat, om_hat, m: int = 32):
     Returns (defect, scale) over the first m columns of the (m+1)-square
     truncations, where the identity is exact but for rounding.
     """
-    lam = as_moment_source(lam_hat)
-    om = as_moment_source(om_hat)
-    x = [math.exp(0.5 * (om.log_moment(n) - lam.log_moment(n))) for n in range(m + 1)]
-    lhs = [x[n + 1] * w for n, w in enumerate(_weights_from_source(lam, m))]
-    rhs = [w * x[n] for n, w in enumerate(_weights_from_source(om, m))]
+    lam_src, om_src = as_moment_source(lam_hat), as_moment_source(om_hat)
+    lam = [lam_src.log_moment(n) for n in range(m + 1)]
+    om = [om_src.log_moment(n) for n in range(m + 1)]
+    x = [math.exp(0.5 * (o - v)) for o, v in zip(om, lam)]
+    lhs = [x[n + 1] * math.exp(0.5 * (lam[n + 1] - lam[n])) for n in range(m)]
+    rhs = [math.exp(0.5 * (om[n + 1] - om[n])) * x[n] for n in range(m)]
     defect = max([0.0] + [abs(a - b) for a, b in zip(lhs, rhs)])
     scale = max([1e-300] + [abs(v) for v in lhs + rhs])
     return defect, scale

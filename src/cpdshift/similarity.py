@@ -19,7 +19,7 @@ from .core import (
     classify_type,
     defect_moment_measure,  # noqa: F401  (re-exported)
 )
-from .measures import AtomicMeasure, logsumexp
+from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
@@ -87,17 +87,17 @@ def _tail_floor(t: ScalarTriplet, n_from: int) -> float:
     and C the second resolvent sum above 1, while the defect moment is at
     least mass({theta}) theta^n.  So beta_n >= mass({theta}) / (sum_k a_k n^k
     theta^-n + C), and n^k theta^-n peaks over n >= n_from at max(n_from,
-    k / log theta).  Summed in the log domain, as theta^n overflows.
+    k / log theta), where it is at most ~1e31; the floor saturates to 0 only
+    when a coefficient is near the double limit.
     """
     theta = t.nu.support_max()
     log_theta = math.log1p(theta - 1.0)
     mass_below = math.fsum(w for p, w in t.nu.atoms if p < 1.0)
-    logs = [math.log(math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0))]
+    terms = [math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0)]
     for k, a in enumerate((1.0, max(t.b, 0.0), t.c + mass_below / 2.0)):
-        if a > 0.0:
-            n = max(n_from, k / log_theta)
-            logs.append(math.log(a) + k * math.log(n) - n * log_theta)
-    return math.exp(math.log(t.nu.mass_at(theta)) - logsumexp(logs))
+        n = max(n_from, k / log_theta)
+        terms.append(a * (n**k * math.exp(-n * log_theta)))
+    return t.nu.mass_at(theta) / sum(terms)
 
 
 def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:

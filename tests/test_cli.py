@@ -308,7 +308,7 @@ class TestSharedSequences:
         init, validate, log_gamma = (
             core.ShiftSequences.__init__,
             core.validate_triplet,
-            core._log_gamma_value,
+            core._far_pair,
         )
 
         def counting(key, fn):
@@ -322,7 +322,7 @@ class TestSharedSequences:
         counted_validate = counting("validated", validate)
         monkeypatch.setattr(core, "validate_triplet", counted_validate)
         monkeypatch.setattr("cpdshift.cli.validate_triplet", counted_validate)
-        monkeypatch.setattr(core, "_log_gamma_value", counting("log_gamma", log_gamma))
+        monkeypatch.setattr(core, "_far_pair", counting("log_gamma", log_gamma))
         return counts
 
     def test_compare_builds_one_sequences_per_side(self, monkeypatch):

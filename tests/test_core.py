@@ -288,12 +288,7 @@ class TestPrefix:
             g, point = s.gamma(n), core._gamma_value(t, n)
             if max(g, point) < math.inf:
                 assert math.isclose(g, point, rel_tol=1e-12), n
-            assert math.isclose(s.log_gamma(n), core._log_gamma_value(t, n), rel_tol=1e-12), n
-
-    def test_overflow_switch_lies_in_the_compared_range(self):
-        s = ShiftSequences(self.LARGE)
-        switch = next(n for n in range(600) if s.gamma(n) >= core.OVERFLOW_LIMIT)
-        assert 200 < switch < 260 and s.gamma(600) == math.inf
+            assert math.isclose(s.log_gamma(n), core._far_pair(t, n)[1], rel_tol=1e-12), n
 
     def test_values_do_not_depend_on_the_order_of_reads(self):
         t = self.NEAR_ONE[2]

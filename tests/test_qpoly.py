@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdshift.qpoly import (
-    q_poly,
-    q_poly_closed,
-    q_poly_log,
-    q_recurrence_check,
-)
+from cpdshift.qpoly import q_poly, q_poly_closed, q_poly_log, q_poly_scaled
+
+
+def q_recurrence_check(n: int, x: float, tol: float = 1e-10) -> bool:
+    """Check the step identity q_poly(n+1, x) == x*q_poly(n, x) + n within tol."""
+    lhs = q_poly(n + 1, x)
+    rhs = x * q_poly(n, x) + n
+    return abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
 
 
 def q_poly_sum(n: int, x: float) -> float:
@@ -115,6 +117,56 @@ def test_log_form_near_one_matches_exact_sums():
             draws.append((rng.randint(2, 512), x))
     for n, x in draws:
         assert abs(q_poly_log(n, x) - _exact_log_q(n, x)) <= 1e-12, (n, x)
+
+
+def _scaled_draws(seed, count):
+    """(n, x, theta) with n <= 512, theta from 1 + 2^-52 to 20 and 0 <= x <= theta."""
+    rng = random.Random(seed)
+    draws = [(512, 1.0 + 2.0**-52, 1.0 + 2.0**-52), (2, 1.0 + 1e-9, 20.0), (512, 20.0, 20.0)]
+    draws += [(512, 20.0 * (1.0 - 1e-8), 20.0), (300, 0.0, 1.5), (7, 0.5, 1.0)]
+    while len(draws) < count:
+        theta = 1.0 + math.exp(rng.uniform(math.log(2.0**-52), math.log(19.0)))
+        kind = rng.random()
+        if kind < 0.3:  # near the top atom
+            x = theta * (1.0 - math.exp(rng.uniform(math.log(1e-16), math.log(0.5))))
+        elif kind < 0.6:  # near 1, on either side
+            x = 1.0 + rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-16), 0.0))
+        else:
+            x = rng.uniform(0.0, theta)
+        if 0.0 <= x <= theta and x != 1.0:
+            draws.append((rng.randint(0, 512), x, theta))
+    return draws
+
+
+def test_scaled_kernel_matches_exact_sums():
+    # relative to the exact value, or to the smallest normal double where it underflows
+    tiny = Fraction(2.0**-1022)
+    for n, x, theta in _scaled_draws(20240519, 400):
+        exact = _exact_q(n, x) * Fraction(theta) ** -n if n >= 2 else Fraction(0)
+        got = Fraction(q_poly_scaled(n, x, theta))
+        assert abs(got - exact) <= exact / 10**12 + tiny, (n, x, theta)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0 - 1e-9, 0.999])
+def test_scaled_kernel_is_q_poly_at_theta_one(x):
+    assert all(q_poly_scaled(n, x, 1.0) == q_poly(n, x) for n in range(600))
+
+
+def test_scaled_kernel_stays_finite_far_out():
+    for n in (10**4, 10**7, 10**9, 2**53):
+        assert math.isclose(q_poly_scaled(n, 20.0, 20.0), 1.0 / 19.0**2, rel_tol=1e-15)
+        assert 0.0 <= q_poly_scaled(n, 19.0, 20.0) < q_poly_scaled(n, 20.0, 20.0)
+
+
+def test_scaled_step_keeps_to_the_kernel():
+    # the prefix steps S_{m+1} = (x/theta) S_m + m theta^-(m+1) over blocks of up to 2048 terms
+    for start, x, theta in _scaled_draws(20240520, 40):
+        s, u, ratio = q_poly_scaled(start, x, theta), theta**-start, x / theta
+        for m in range(start, start + 2048):
+            ref = q_poly_scaled(m, x, theta)
+            assert abs(s - ref) <= 1e-12 * ref + 1e-300, (m, x, theta)
+            u /= theta
+            s = ratio * s + m * u
 
 
 def test_kernel_near_one_matches_exact_sums():
