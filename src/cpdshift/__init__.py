@@ -11,15 +11,14 @@ from .core import (
     ShiftSequences,
     TypeLabel,
     classify_type,
+    defect_moment_measure,
     diagonal_triplet,
     validate_triplet,
 )
 from .measures import AtomicMeasure, ResolventIntegrals, point_mass, zero_measure
 from .qpoly import q_poly
 from .quasiaffine import (
-    MomentSource,
     alevy_scenario,
-    as_moment_source,
     intertwiner_check,
     intertwiner_defect,
     quasi_affine_test,
@@ -34,7 +33,6 @@ from .similarity import (
     criterion_kdwq,
     criterion_nyttrs,
     criterion_weight_band,
-    defect_moment_measure,
     example_t0,
     model_subnormal,
     similar_by_beta,
@@ -74,7 +72,6 @@ __all__ = [
     "InvalidTripletError",
     "ModelDegenerateError",
     "ModelShift",
-    "MomentSource",
     "NecessaryReport",
     "NO",
     "NotApplicableError",
@@ -86,7 +83,6 @@ __all__ = [
     "WabClassification",
     "YES",
     "alevy_scenario",
-    "as_moment_source",
     "b2_identity_check",
     "berger_measure",
     "classify_type",

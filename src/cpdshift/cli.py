@@ -15,9 +15,10 @@ import math
 import os
 import sys
 
-from .core import ScalarTriplet, ShiftSequences, classify_type, validate_triplet
+from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, classify_type, validate_triplet
 from .quasiaffine import DEFAULT_N, intertwiner_defect, similarity_test
 from .similarity import (
+    MODEL_TAG,
     ModelDegenerateError,
     b2_identity_check,
     criterion_ineqsuf,
@@ -28,6 +29,7 @@ from .similarity import (
     similar_by_beta,
 )
 from .subnormality import (
+    NECESSARY_TAG,
     dichotomy_check,
     hankel_psd_oracle,
     is_subnormal,
@@ -163,7 +165,7 @@ def classify_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
         "n_max": n_max,
     }
     report["verdict"] = f"Type{label.kind}"
-    report["citation"] = "defect-type-classification"
+    report["citation"] = CLASSIFY_TAG
     return report, EXIT_DECIDED
 
 
@@ -222,7 +224,7 @@ def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
         verdict, citation = "NotSimilar", dich.citation
     elif nec.not_similar:
         verdict = "NotSimilar"
-        citation = f"similarity-necessary-conditions({','.join(nec.failed_ids)})"
+        citation = f"{NECESSARY_TAG}({','.join(nec.failed_ids)})"
     else:
         firing = [
             c for c in criteria.values() if isinstance(c, Verdict) and c.is_yes
@@ -257,7 +259,7 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
     }
     report["identity_check"] = b2_identity_check(seqs, m_max=count)
     report["verdict"] = "Model"
-    report["citation"] = "model-shift"
+    report["citation"] = MODEL_TAG
     return report, EXIT_DECIDED
 
 
@@ -284,9 +286,9 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
         "scale": scale,
         "within_tolerance": defect <= 1e-12 * scale,
     }
-    report["verdict"] = {"yes": "Similar", "no": "NotSimilar"}.get(sim.outcome, "Inconclusive")
+    report["verdict"] = "Similar" if sim.is_yes else "NotSimilar"
     report["citation"] = sim.citation
-    return report, EXIT_DECIDED if not sim.is_inconclusive else EXIT_INCONCLUSIVE
+    return report, EXIT_DECIDED
 
 
 def series_rows(seqs: ShiftSequences, n_max: int):

@@ -17,7 +17,6 @@ from .core import (
     ShiftSequences,
     as_sequences,
     classify_type,
-    defect_moment_measure,  # noqa: F401  (re-exported)
 )
 from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
@@ -28,7 +27,6 @@ ENDPOINT_LIMINF_TAG = "endpoint-liminf"
 WEIGHT_BAND_TAG = "weight-band"
 GROWTH_INEQ_TAG = "growth-inequalities"
 MODEL_TAG = "model-shift"
-B2_IDENTITY_TAG = "defect-moment-identity"
 
 GRID_POINTS = 64
 

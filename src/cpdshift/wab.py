@@ -72,7 +72,8 @@ def wab_classify(a: float, b: float) -> WabClassification:
         raise ValueError(f"a must be positive, got {a!r}")
     if not b >= 1.0:
         raise ValueError(f"b must be at least 1, got {b!r}")
-    theta = 1.0 - 2.0 * a + a * b
+    # = 1 - 2a + ab; at b = 1 this is 1 - a rounded as -(a - 1), so L = 0 exactly
+    theta = (1.0 - a) + a * (b - 1.0)
     norm = math.sqrt(max(a, b))
     if theta < 0.0:
         return WabClassification(a, b, theta, False, None, False, None, norm, None)

@@ -331,8 +331,8 @@ class TestSharedSequences:
         report, _ = compare_report(ta, tb, 512)
         assert counts["built"] == 2 and counts["validated"] == 2
         assert counts["log_gamma"] <= 2 * (512 + 1)
-        assert report["similarity"].witness["forward"] == quasi_affine_test(ta, tb, 512).to_json()
-        assert report["similarity"].witness["backward"] == quasi_affine_test(tb, ta, 512).to_json()
+        assert report["similarity"].witness["forward"] == quasi_affine_test(ta, tb).to_json()
+        assert report["similarity"].witness["backward"] == quasi_affine_test(tb, ta).to_json()
 
     def test_similar_builds_one_sequences(self, monkeypatch):
         t = load_triplet(self.BASE)

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_type_iii_triplet
 
 from cpdshift import (
     AtomicMeasure,
-    MomentSource,
     ScalarTriplet,
     alevy_scenario,
-    as_moment_source,
     intertwiner_check,
     intertwiner_defect,
     point_mass,
@@ -43,21 +42,20 @@ class TestQuasiAffine:
         assert v.witness["class_om"] < v.witness["class_lam"]
 
     def test_geometric_growth_unbounded(self):
-        v = quasi_affine_test([1.0] * 600, [math.sqrt(2.0)] * 600)  # 2^n over 1
+        v = quasi_affine_test(point_mass(1.0), point_mass(2.0))  # 2^n over 1
         assert v.is_no
-        assert v.witness["slope"] > 1e-3
+        assert v.witness["limit_ratio"] == math.inf
 
-    def test_moment_source_kinds(self):
-        from_weights = as_moment_source([1.0, 1.0, 1.0])
-        assert from_weights.log_moment(2) == 0.0
-        from_measure = as_moment_source(point_mass(4.0))
-        assert math.isclose(from_measure.log_moment(3), 3 * math.log(4.0))
-        from_triplet = as_moment_source(ISO)
-        assert from_triplet.log_moment(5) == 0.0
-
-    def test_weight_list_limits_window(self):
-        v = quasi_affine_test([1.0] * 40, [1.0] * 40, n_max=512)
-        assert v.witness["n_max"] == 40
+    @pytest.mark.parametrize("weights", [[1.0] * 40, (1.0,) * 40, np.ones(40)], ids=type)
+    def test_weight_list_has_no_growth_class(self, weights):
+        # a finite list cannot show that a ratio is bounded
+        for test in (quasi_affine_test, similarity_test):
+            for pair in ((weights, ISO), (ISO, weights)):
+                with pytest.raises(TypeError, match=type(weights).__name__):
+                    test(*pair)
+        with pytest.raises(TypeError, match=type(weights).__name__):
+            growth_class(weights)
+        assert intertwiner_check(weights, weights)
 
 
 class TestSimilarity:
@@ -86,11 +84,7 @@ class TestSimilarity:
         assert similarity_test(t, model).is_yes
 
     def test_symmetry(self, rng):
-        pairs = []
-        for _ in range(6):
-            w1 = rng.uniform(0.5, 2.0, 40)
-            w2 = rng.uniform(0.5, 2.0, 40)
-            pairs.append((list(w1), list(w2)))
+        pairs = [(random_type_iii_triplet(rng), random_type_iii_triplet(rng)) for _ in range(6)]
         for lam, om in pairs:
             assert similarity_test(lam, om).outcome == similarity_test(om, lam).outcome
 
@@ -198,17 +192,20 @@ class TestGrowthClass:
         assert growth_class(AtomicMeasure(((0.5, 0.2), (3.0, 0.7)))) == (3.0, 0, 0.7)
 
     def test_rounding_level_coefficients_count_as_zero(self):
-        # W(a, 1) has L = (a - 1) + (1 - 2a + a) = 0, which rounds to +1.1e-16 for
-        # some a: such a triplet keeps the class (1, 0, a) of its Berger measure
+        # (a - 1, 0, 1 - 2a + a at 0) has L = 0 but for rounding, and rounds to
+        # +1.1e-16 for some a: such a triplet keeps the class (1, 0, a) of W(a, 1)
         rounded = 0
         for k in range(1, 1000):
-            w = wab_classify(k / 1000, 1.0)
-            if not validate_triplet(w.triplet).is_yes:
-                continue  # L rounds below 0
-            rounded += limit_coefficients(w.triplet)[0] > 0.0
+            a = k / 1000
+            w = wab_classify(a, 1.0)
+            assert validate_triplet(w.triplet).is_yes, k
             v = similarity_test(w.triplet, w.berger)
             assert v.is_yes, k
             assert v.witness["forward"]["witnesses"]["limit_ratio"] == pytest.approx(1.0)
+            t = ScalarTriplet(a - 1.0, 0.0, point_mass(0.0, 1.0 - 2.0 * a + a))
+            if limit_coefficients(t)[0] > 0.0:
+                rounded += 1
+                assert similarity_test(t, w.berger).is_yes, k
         assert rounded > 0
         # no atom in (0, 1) and both L and A at rounding level: the first positive leads
         w = 1.0 - 2.0**-52
@@ -218,10 +215,6 @@ class TestGrowthClass:
     def test_unbounded_direction_reads_infinity(self):
         v = quasi_affine_test(ISO, TWO_ISO)
         assert v.is_no and v.witness["limit_ratio"] == math.inf
-
-    def test_weight_list_side_uses_the_window(self):
-        v = quasi_affine_test(ISO, [1.0] * 40)
-        assert v.citation == "moment-ratio-sup" and v.witness["n_max"] == 40
 
 
 class TestIntertwiner:
@@ -242,15 +235,12 @@ class TestIntertwiner:
     def test_perturbed_diagonal_fails(self):
         lam = [1.0] * 40
         om = [1.2] * 40
-        src_l = MomentSource.from_weights(lam)
-        src_o = MomentSource.from_weights(om)
         size = 33
         w_l = shift_matrix(lam, size)
         w_o = shift_matrix(om, size)
-        diag = [
-            math.exp(0.5 * (src_o.log_moment(n) - src_l.log_moment(n)))
-            for n in range(size)
-        ]
+        diag = [1.0]  # sqrt of the moment ratio: the product of the weight ratios
+        for n in range(size - 1):
+            diag.append(diag[-1] * om[n] / lam[n])
         diag[7] += 1e-3
         x = np.diag(diag)
         defect = np.abs((x @ w_l - w_o @ x)[:, : size - 1]).max()
