@@ -305,6 +305,24 @@ def series_rows(seqs: ShiftSequences, n_max: int):
 # -- argument parsing ---------------------------------------------------------
 
 
+def _checked(cast, ok, want: str):
+    """An argparse type: cast the text, and reject a value that fails ok."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "at least 1")
+_order = _checked(int, lambda n: n >= 0, "nonnegative")
+_tolerance = _checked(float, lambda x: 0.0 < x < math.inf, "finite and positive")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpdshift",
@@ -319,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", nargs="?", help="triplet JSON, file path, or -")
         p.add_argument("--batch", metavar="FILE", help="JSON-lines file of triplet specs")
         if name == "subnormal":
-            p.add_argument("--tol", type=float, default=1e-8)
-            p.add_argument("--hankel-order", type=int, default=8)
+            p.add_argument("--tol", type=_tolerance, default=1e-8)
+            p.add_argument("--hankel-order", type=_order, default=8)
         else:
-            p.add_argument("--n-max", type=int, default=n_max_default[name])
+            p.add_argument("--n-max", type=_count, default=n_max_default[name])
 
     p = sub.add_parser("compare")
     p.add_argument("spec_a")
@@ -330,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series")
     p.add_argument("spec")
-    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--n-max", type=_count, default=64)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")

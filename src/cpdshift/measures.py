@@ -111,14 +111,6 @@ class AtomicMeasure:
                 return m
         return 0.0
 
-    def mass_on(self, lo: float, hi: float, include_lo=True, include_hi=True) -> float:
-        """Mass of the interval between lo and hi."""
-        total = 0.0
-        for p, m in self.atoms:
-            if (p > lo or (include_lo and p == lo)) and (p < hi or (include_hi and p == hi)):
-                total += m
-        return total
-
     # -- integrals ----------------------------------------------------------
 
     def moment(self, n: int) -> float:

@@ -1,10 +1,10 @@
 """Sufficient criteria for similarity of a type-III shift to a subnormal
 shift, and the model subnormal shift itself.
 
-All criteria are sufficient: "no" means the hypotheses do not hold (or a
-finite search did not find admissible parameters), never that similarity was
-refuted.  The only negative certificates live elsewhere: a vanishing defect
-term (two-parameter family) or a necessary-condition failure.
+All criteria are sufficient: "no" means the hypotheses do not hold, never
+that similarity was refuted.  The only negative certificates live elsewhere:
+a vanishing defect term (two-parameter family) or a necessary-condition
+failure.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ ENDPOINT_LIMINF_TAG = "endpoint-liminf"
 WEIGHT_BAND_TAG = "weight-band"
 GROWTH_INEQ_TAG = "growth-inequalities"
 MODEL_TAG = "model-shift"
-
-GRID_POINTS = 64
 
 
 class ModelDegenerateError(ValueError):
@@ -136,45 +134,19 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
     return Verdict(YES, "criterion_kdwq", ENDPOINT_ATOM_TAG, witness)
 
 
-def criterion_nyttrs(
-    t: ScalarTriplet | ShiftSequences, eps_rule=None, n_scan: int = 500
-) -> Verdict:
+def criterion_nyttrs(t: ScalarTriplet | ShiftSequences) -> Verdict:
     """liminf criterion at the top of the support.
 
-    Evaluates a_n = nu([theta - eps_n, theta]) (1 - eps_n/theta)^n with the
-    default rule eps_n = 1/n, for which the limit is mass({theta}) e^(-1/theta).
-    "yes" when the limit (default rule) or the observed tail infimum (custom
-    rule) is positive.
+    With eps_n = 1/n, a_n = nu([theta - eps_n, theta]) (1 - eps_n/theta)^n
+    tends to mass({theta}) e^(-1/theta); "yes" when that limit is positive.
     """
     t = as_sequences(t).triplet
     theta = t.nu.support_max()
     if not theta > 1.0:
         raise NotApplicableError("sup of the support must exceed 1")
-    default_rule = eps_rule is None
-    rule = (lambda n: 1.0 / n) if default_rule else eps_rule
-
-    values = []
-    for n in range(1, n_scan + 1):
-        eps = rule(n)
-        if not eps > 0.0:
-            raise ValueError(f"eps rule must return positive values, got {eps!r} at n={n}")
-        base = 1.0 - eps / theta
-        window_mass = t.nu.mass_on(theta - eps, theta)
-        values.append(window_mass * (base**n if base > 0.0 else 0.0))
-    tail = values[n_scan // 2 :]
-    tail_inf = min(tail) if tail else 0.0
-
-    witness = {"theta": theta, "n_scan": n_scan, "tail_inf": tail_inf, "a_last": values[-1]}
-    if default_rule:
-        limit = t.nu.mass_at(theta) * math.exp(-1.0 / theta)
-        witness["limit"] = limit
-        outcome = YES if limit > 0.0 else NO
-        return Verdict(outcome, "criterion_nyttrs", ENDPOINT_LIMINF_TAG, witness)
-    # custom rule: also require the window to stay above 1 along the tail
-    shrunk = all(theta - rule(n) > 1.0 for n in range(max(1, n_scan // 2), n_scan + 1))
-    witness["window_above_one"] = shrunk
-    outcome = YES if (tail_inf > 0.0 and shrunk) else INCONCLUSIVE
-    return Verdict(outcome, "criterion_nyttrs", ENDPOINT_LIMINF_TAG, witness)
+    limit = t.nu.mass_at(theta) * math.exp(-1.0 / theta)
+    witness = {"theta": theta, "limit": limit}
+    return Verdict(YES if limit > 0.0 else NO, "criterion_nyttrs", ENDPOINT_LIMINF_TAG, witness)
 
 
 def criterion_weight_band(
@@ -185,9 +157,10 @@ def criterion_weight_band(
     Fits either (tau, M) with 1 + tau <= lambda_n^2 <= 1 + M, tau in (0, 1)
     and (1 - tau)(1 + M) < 1, or tau >= 1 with 1 + tau <= lambda_n^2.  The
     empirical band over the window is the witness; behavior beyond n_hi is not
-    extrapolated.
+    extrapolated.  An n_hi below n_lo shrinks the window to [n_hi, n_hi].
     """
     s = as_sequences(t)
+    n_lo = min(n_lo, n_hi)
     band = [s.weight(n) ** 2 for n in range(n_lo, n_hi + 1)]
     lo, hi = min(band), max(band)
     witness = {"n_lo": n_lo, "n_hi": n_hi, "band_min": lo, "band_max": hi}
@@ -243,19 +216,78 @@ def _family_iii(
     )
 
 
+def _family_ii_t(t: ScalarTriplet, total: float, inf_supp: float) -> float | None:
+    """A t in (0, t0) at which family (ii) holds, or None if there is none.
+
+    For t > 0 the first and third conditions grow with t and the second and
+    fourth shrink, so the feasible set is [lo, hi]: lo the larger positive
+    root of the first and third quadratics, hi the least of the second's
+    positive root, t0 and inf_supp - 2.  The midpoint is tried first, then
+    the ends, so that a one-point set is found too.
+    """
+    if not total > 0.0 or t.b - 2.0 * t.c > total:  # then (ii) fails for every t > 0
+        return None
+    t0 = example_t0()
+    k1 = max(0.0, 1.0 - t.b - t.c) / total  # t^2 + t >= k1
+    k3 = 2.0 * t.c / total  # t^2 + 2t >= k3
+    m = (t.b - 2.0 * t.c) / total  # 1 - 2t - 1.5 t^2 >= m
+    lo = max(2.0 * k1 / (1.0 + math.sqrt(1.0 + 4.0 * k1)), k3 / (1.0 + math.sqrt(1.0 + k3)))
+    hi = min(2.0 * (1.0 - m) / (2.0 + math.sqrt(10.0 - 6.0 * m)), t0, inf_supp - 2.0)
+    for tp in (0.5 * (lo + hi), lo, hi):
+        if 0.0 < tp < t0 and _family_ii(t, total, inf_supp, tp):
+            return tp
+    return None
+
+
+def _family_iii_point(
+    t: ScalarTriplet, total: float, inf_supp: float, theta: float
+) -> tuple[float, float] | None:
+    """The (t, tau) to test family (iii) at, inside 4/3 < t < 2 tau, 2/3 < tau < 1, or None.
+
+    Five of the conditions are half-planes p t + q tau <= r; the other two
+    do not involve (t, tau).  Clipping the triangle by the five leaves the
+    feasible polygon, and the mean of its vertices lies inside it.
+    """
+    if not total > 0.0:  # then (iii) forces c = 0, so tau b <= 0 and b + c < tau
+        return None
+    polygon = [(4.0 / 3.0, 2.0 / 3.0), (4.0 / 3.0, 1.0), (2.0, 1.0)]
+    for p, q, r in (
+        (0.0, 1.0, t.b + t.c),
+        (total / 2.0, t.b, 2.0 * t.c + total),
+        (-total, 2.0 * t.c, 0.0),
+        (0.0, -theta, 1.0 - theta),
+        (1.0, 1.0, inf_supp - 1.0),
+    ):
+        clipped = []
+        for a, b in zip(polygon, polygon[1:] + polygon[:1]):
+            fa, fb = p * a[0] + q * a[1] - r, p * b[0] + q * b[1] - r
+            if fa <= 0.0:
+                clipped.append(a)
+            if fa < 0.0 < fb or fb < 0.0 < fa:
+                s = fa / (fa - fb)
+                clipped.append((a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])))
+        polygon = clipped
+    if not polygon:
+        return None
+    tp, tau = (math.fsum(v[i] for v in polygon) / len(polygon) for i in (0, 1))
+    return (tp, tau) if 4.0 / 3.0 < tp < 2.0 * tau and 2.0 / 3.0 < tau < 1.0 else None
+
+
 def criterion_ineqsuf(
     t: ScalarTriplet | ShiftSequences,
     t_param: float | None = None,
     tau: float | None = None,
-    grid_points: int = GRID_POINTS,
 ) -> Verdict:
     """Inequality families over (b, c, nu-total, support endpoints).
 
-    Stated for b >= 0 only; negative b is reported not applicable.  Families
-    (ii) and (iii) carry free parameters: supplied values are checked
-    literally, otherwise a coarse grid over the generation windows is
-    searched (the conditions are open, so the grid suffices in practice).
+    Stated for b >= 0 only; negative b is reported not applicable.  t_param
+    pins family (ii)'s t, and t_param with tau pins family (iii)'s (t, tau);
+    pinned values are checked literally.  Otherwise each family is decided
+    exactly on its window, (0, t0) for (ii) and 4/3 < t < 2 tau,
+    2/3 < tau < 1 for (iii), and reports a point where it holds.
     """
+    if tau is not None and t_param is None:
+        raise ValueError("tau pins family (iii) only together with t_param")
     t = as_sequences(t).triplet
     if t.b < 0.0:
         return Verdict(
@@ -265,64 +297,21 @@ def criterion_ineqsuf(
             {"applicable": False},
             note="criterion is stated for b >= 0",
         )
-    total = t.nu.total_mass()
-    inf_supp = t.nu.support_min()
-    theta = t.nu.support_max()
+    total, inf_supp, theta = t.nu.total_mass(), t.nu.support_min(), t.nu.support_max()
 
     families: dict[str, dict] = {}
     if _family_i(t, total, inf_supp):
         families["i"] = {}
-
-    t0 = example_t0()
-    if t_param is not None:
-        if _family_ii(t, total, inf_supp, t_param):
-            families["ii"] = {"t": t_param}
-    else:
-        for k in range(grid_points):
-            tp = t0 * (k + 0.5) / grid_points
-            if _family_ii(t, total, inf_supp, tp):
-                families["ii"] = {"t": tp}
-                break
-
-    if t_param is not None and tau is not None:
-        if _family_iii(t, total, inf_supp, theta, t_param, tau):
-            families["iii"] = {"t": t_param, "tau": tau}
-    else:
-        taus = (
-            [tau]
-            if tau is not None
-            else [2.0 / 3.0 + (1.0 / 3.0) * (k + 0.5) / grid_points for k in range(grid_points)]
-        )
-        found = None
-        for tv in taus:
-            ts = (
-                [t_param]
-                if t_param is not None
-                else [
-                    4.0 / 3.0 + (2.0 * tv - 4.0 / 3.0) * (k + 0.5) / grid_points
-                    for k in range(grid_points)
-                    if 2.0 * tv > 4.0 / 3.0
-                ]
-            )
-            for tp in ts:
-                if _family_iii(t, total, inf_supp, theta, tp, tv):
-                    found = {"t": tp, "tau": tv}
-                    break
-            if found:
-                break
-        if found:
-            families["iii"] = found
+    tp = _family_ii_t(t, total, inf_supp) if t_param is None else t_param
+    if tp is not None and _family_ii(t, total, inf_supp, tp):
+        families["ii"] = {"t": tp}
+    point = _family_iii_point(t, total, inf_supp, theta) if tau is None else (t_param, tau)
+    if point is not None and _family_iii(t, total, inf_supp, theta, *point):
+        families["iii"] = {"t": point[0], "tau": point[1]}
 
     witness = {"applicable": True, "families": families, "nu_total": total, "inf_supp": inf_supp}
-    if families:
-        return Verdict(YES, "criterion_ineqsuf", GROWTH_INEQ_TAG, witness)
-    return Verdict(
-        NO,
-        "criterion_ineqsuf",
-        GROWTH_INEQ_TAG,
-        witness,
-        note="no family holds (families with free parameters searched on a finite grid)",
-    )
+    outcome, note = (YES, "") if families else (NO, "no family holds")
+    return Verdict(outcome, "criterion_ineqsuf", GROWTH_INEQ_TAG, witness, note=note)
 
 
 def example_t0() -> float:

@@ -125,6 +125,12 @@ class TestSimilar:
         assert code == 0
         assert doc["verdict"] == "NotSimilar"
 
+    def test_short_window(self, capsys):
+        # the weight band window [32, n_max] shrinks to [n_max, n_max]
+        code, doc = run_json(capsys, "similar", ATOM2, "--n-max", "10")
+        assert code == 0 and doc["verdict"] == "Similar"
+        assert doc["criteria"]["criterion_weight_band"]["witnesses"]["n_lo"] == 10
+
     def test_near_miss_is_inconclusive(self, capsys):
         # b misses the resolvent sum by 1e-9 (near-miss band) and the diagonal
         # sums stay negative past k = 64: nothing can decide
@@ -293,6 +299,25 @@ class TestUsageErrors:
     def test_compare_takes_no_window(self, capsys):
         # the growth classes of two triplets need no --n-max
         assert main(["compare", ATOM2, ISO, "--n-max", "16"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["classify", ATOM2, "--n-max", "-3"], "--n-max"),
+            (["similar", ATOM2, "--n-max", "0"], "--n-max"),
+            (["model", ATOM2, "--n-max", "0"], "--n-max"),
+            (["series", ATOM2, "--n-max", "-3"], "--n-max"),
+            (["subnormal", ATOM2, "--hankel-order", "-2"], "--hankel-order"),
+            (["subnormal", ATOM2, "--tol", "nan"], "--tol"),
+            (["subnormal", ATOM2, "--tol", "inf"], "--tol"),
+            (["subnormal", ATOM2, "--tol", "0"], "--tol"),
+            (["subnormal", ATOM2, "--tol=-1e-8"], "--tol"),
+        ],
+    )
+    def test_out_of_range_flag_is_input_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}:" in err
 
     def test_subnormal_reads_its_flags(self, capsys):
         code, doc = run_json(capsys, "subnormal", ATOM2, "--tol", "1e-6", "--hankel-order", "6")
