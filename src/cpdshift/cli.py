@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, classify_type, validate_triplet
 from .quasiaffine import DEFAULT_N, intertwiner_defect, similarity_test
@@ -57,48 +58,57 @@ def _fmt(x: float) -> str:
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with every float printed to 17 significant digits.
 
-    Report objects print through their to_json, numpy scalars and arrays
-    through tolist; dict keys print as str(key).
+    JSON-native values dispatch on their exact type; anything else prints as
+    its native counterpart: subclasses of float, int, str, dict, list and tuple
+    by value, report objects through their to_json, numpy scalars and arrays
+    through tolist.  dict keys print as str(key).
     """
+    nl = "\n" if indent else ""
+    sep = "," + nl
 
     def emit(o, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
-        nl = "\n" if indent else ""
-        sep = "," + nl
-        if o is None:
-            return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, float):
-            if math.isnan(o):
-                return '"nan"'
-            if math.isinf(o):
-                return '"inf"' if o > 0 else '"-inf"'
-            return _fmt(o)
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, dict):
+        kind = type(o)
+        if kind is float:
+            if math.isfinite(o):
+                return _fmt(o)
+            return '"nan"' if math.isnan(o) else ('"inf"' if o > 0 else '"-inf"')
+        if kind is str:
+            return _quote(o)
+        if kind is dict:
             if not o:
                 return "{}"
+            pad_in = " " * (indent * (depth + 1))
             items = sep.join(
-                f"{pad_in}{json.dumps(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()
+                [f"{pad_in}{_quote(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()]
             )
-            return "{" + nl + items + nl + pad + "}"
-        if isinstance(o, (list, tuple)):
+            return "{" + nl + items + nl + " " * (indent * depth) + "}"
+        if kind is list or kind is tuple:
             if not o:
                 return "[]"
-            items = sep.join(f"{pad_in}{emit(v, depth + 1)}" for v in o)
-            return "[" + nl + items + nl + pad + "]"
-        if hasattr(o, "to_json"):
-            return emit(o.to_json(), depth)
-        if hasattr(o, "tolist"):
-            return emit(o.tolist(), depth)
-        raise TypeError(f"cannot serialize {type(o).__name__}")
+            pad_in = " " * (indent * (depth + 1))
+            items = sep.join([f"{pad_in}{emit(v, depth + 1)}" for v in o])
+            return "[" + nl + items + nl + " " * (indent * depth) + "]"
+        if o is None:
+            return "null"
+        if kind is bool:
+            return "true" if o else "false"
+        if kind is int:
+            return str(o)
+        return emit(_native(o), depth)
 
     return emit(obj, 0)
+
+
+def _native(o):
+    """The JSON-native value that o prints as."""
+    if hasattr(o, "to_json"):
+        return o.to_json()
+    for base in (float, int, str, dict, list, tuple):
+        if isinstance(o, base):
+            return base(o)
+    if hasattr(o, "tolist"):
+        return o.tolist()
+    raise TypeError(f"cannot serialize {type(o).__name__}")
 
 
 def _print_report(report) -> None:

@@ -13,6 +13,11 @@ All of them are read from one scaled value per index, g_n = gamma_n theta^-n wit
 theta = max(1, top atom of nu), which stays in the double range at every n:
 lambda_n^2 = theta g_{n+1} / g_n, log gamma_n = n log theta + log g_n, and
 beta_n = (sum w (x/theta)^n + 2c theta^-n) / g_n.
+
+ShiftSequences keeps g_n for n < PREFIX_WINDOW in a prefix and derives log
+gamma_n from it on read.  It builds beta_n in blocks from that prefix, checking
+the closed form against the weight route at every index; past the window both
+fall back to the O(1) kernel, one index at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from .measures import AtomicMeasure
 from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Verdict
 
-# g_n and log gamma_n are kept for n < PREFIX_WINDOW, so long scans hold no more
-# memory; blocks end at FIRST_BLOCK 2^k: 68 and 544 hold what 64/512-term beta scans read.
+# g_n is kept for n < PREFIX_WINDOW and beta_n for n + 2 < PREFIX_WINDOW, so long
+# scans hold no more memory; blocks end at FIRST_BLOCK 2^k: 68 and 544 hold what
+# 64/512-term beta scans read.
 PREFIX_WINDOW = 4096
 FIRST_BLOCK = 34
 
@@ -232,26 +238,24 @@ def _forward_scan(t: ScalarTriplet, case: int) -> Verdict:
     )
 
 
-def _scaled_pair(t: ScalarTriplet, n: int, u: float, ss, log_theta: float) -> tuple[float, float]:
-    """(g_n, log gamma_n) in one fsum, from u = theta^-n and Q_n(x) theta^-n per atom;
-    g_n saturates to +inf past the double range, log gamma_n is nan if g_n <= 0."""
-    terms = [u, t.b * n * u, t.c * n * n * u] + [w * s for (_, w), s in zip(t.nu.atoms, ss)]
+def _fsum_g(terms) -> float:
+    """g_n as the fsum of its terms; +inf past the double range."""
     try:
-        g = math.fsum(terms)
+        return math.fsum(terms)
     except OverflowError:
-        g = math.inf
-    return g, (n * log_theta + math.log(g) if g > 0.0 else math.nan)
+        return math.inf
 
 
 def _theta(t: ScalarTriplet) -> float:
     return max(1.0, t.nu.support_max())
 
 
-def _far_pair(t: ScalarTriplet, n: int) -> tuple[float, float]:
-    """(g_n, log gamma_n) from the O(1) scaled kernel, for indices past the prefix."""
+def _far_g(t: ScalarTriplet, n: int) -> float:
+    """g_n from the O(1) scaled kernel, for indices past the prefix."""
     theta = _theta(t)
-    ss = [q_poly_scaled(n, p, theta) for p, _ in t.nu.atoms]
-    return _scaled_pair(t, n, theta**-n, ss, math.log1p(theta - 1.0))
+    u = theta**-n
+    terms = [u, t.b * n * u, t.c * n * n * u]
+    return _fsum_g(terms + [w * q_poly_scaled(n, p, theta) for p, w in t.nu.atoms])
 
 
 def _unscale(g: float, theta: float, n: int) -> float:
@@ -264,7 +268,7 @@ def _unscale(g: float, theta: float, n: int) -> float:
 
 def _gamma_value(t: ScalarTriplet, n: int) -> float:
     """gamma_n from the O(1) kernel, for the validation scan."""
-    return _unscale(_far_pair(t, n)[0], _theta(t), n)
+    return _unscale(_far_g(t, n), _theta(t), n)
 
 
 def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
@@ -274,17 +278,45 @@ def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
     return t.nu
 
 
+def _checked_betas(start: int, defect, theta: float, g) -> list[float]:
+    """beta_n for start <= n < start + len(g) - 2, from g = (g_start, g_start+1, ...).
+
+    Returns the closed form sum w r^n / g_n over defect = ((x/theta, w), ...),
+    checked at every index against the weight route 1 - 2 lambda_n^2 +
+    lambda_n^2 lambda_{n+1}^2: disagreement beyond BETA_AGREEMENT_RTOL is an
+    implementation bug and raises rather than averaging.
+    """
+    ns = range(start, start + len(g) - 2)
+    rows = zip(*([w * r**n for n in ns] for r, w in defect)) if defect else [()] * len(ns)
+    closed = [math.fsum(row) / g0 for row, g0 in zip(rows, g)]
+    sq = [theta * b / a for a, b in zip(g, g[1:])]
+    rtol = BETA_AGREEMENT_RTOL
+    for n, c, a, b in zip(ns, closed, sq, sq[1:]):
+        direct, size = 1.0 - 2.0 * a + a * b, abs(c)
+        if abs(direct - c) > rtol * (size if size > 1.0 else 1.0):  # rtol * max(1, |c|)
+            raise ArithmeticError(
+                f"defect mismatch at n={n}: weights give {direct!r}, closed form {c!r}"
+            )
+    return closed
+
+
 class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
 
     The single per-triplet owner of the validation verdict, of the scaled prefix
-    g_n and of the defect measure nu + 2c at 1: criteria, moment sources and
-    reports take one instance in place of the triplet instead of evaluating again.
+    g_n, of the defects beta_n and of the defect measure nu + 2c at 1: criteria,
+    moment sources and reports take one instance in place of the triplet
+    instead of evaluating again.
 
-    Each prefix block seeds Q_n(x) theta^-n per atom from q_poly_scaled and steps
-    it with S_{m+1} = (x/theta) S_m + m theta^-(m+1), so values do not depend on
-    the order of reads.  The prefix is an immutable tuple published by one
-    assignment, so it needs no lock.
+    The prefix holds g_n only; log gamma_n = n log theta + log g_n is derived
+    on read.  Each prefix block seeds Q_n(x) theta^-n per atom from
+    q_poly_scaled and steps it with S_{m+1} = (x/theta) S_m + m theta^-(m+1),
+    so values do not depend on the order of reads.  beta_n is built in blocks
+    from the prefix and the rounded ratios x/theta of the defect atoms, each
+    index checked against the weight route; a block that fails is kept empty,
+    and its indices are computed one at a time when read, so only a failing
+    index raises.  Past PREFIX_WINDOW both fall back to the O(1) kernel.  Prefix and betas are immutable tuples published by one
+    assignment each, so they need no lock.
     """
 
     def __init__(self, triplet: ScalarTriplet, validation: Verdict | None = None):
@@ -298,63 +330,96 @@ class ShiftSequences:
         self.defect_measure = defect_moment_measure(triplet)
         self.theta = _theta(triplet)
         self.log_theta = math.log1p(self.theta - 1.0)
-        self._prefix: tuple[tuple[float, float], ...] = ()
+        self._defect = tuple((p / self.theta, w) for p, w in self.defect_measure.atoms)
+        self._prefix: tuple[float, ...] = ()
+        self._betas: tuple[float | None, ...] = ()
 
-    def _scaled(self, n: int) -> tuple[float, float]:
-        """(g_n, log gamma_n): past the window from the kernel, else from the prefix."""
+    def _g(self, n: int) -> float:
+        """g_n: past the window from the kernel, else from the prefix."""
         prefix = self._prefix
         if n >= len(prefix):
             if n >= PREFIX_WINDOW:
-                return _far_pair(self.triplet, n)
+                return _far_g(self.triplet, n)
             prefix = self._grow(n)
         elif n < 0:
             raise ValueError("index must be nonnegative")
         return prefix[n]
 
-    def _grow(self, n: int) -> tuple[tuple[float, float], ...]:
+    def _grow(self, n: int) -> tuple[float, ...]:
         """The published prefix, first grown block by block past n."""
-        prefix, t, theta, log_theta = self._prefix, self.triplet, self.theta, self.log_theta
-        ratios = [p / theta for p, _ in t.nu.atoms]
+        prefix, t, theta = self._prefix, self.triplet, self.theta
         while len(prefix) <= n:
             start = len(prefix)
-            u, ss = theta**-start, [q_poly_scaled(start, p, theta) for p, _ in t.nu.atoms]
-            block = []
-            for m in range(start, min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK))):
-                block.append(_scaled_pair(t, m, u, ss, log_theta))
-                u /= theta
-                ss = [r * s + m * u for r, s in zip(ratios, ss)]
-            self._prefix = prefix = prefix + tuple(block)
+            ms = range(start, min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK)))
+            us = [theta**-start]  # us[i] = theta^-(start + i), one division per step
+            for _ in ms:
+                us.append(us[-1] / theta)
+            b_terms = [t.b * m * u for m, u in zip(ms, us)]
+            columns = [us[:-1], b_terms, [t.c * m * m * u for m, u in zip(ms, us)]]
+            for p, w in t.nu.atoms:
+                r, s, column = p / theta, q_poly_scaled(start, p, theta), []
+                for m, u in zip(ms, us[1:]):
+                    column.append(w * s)
+                    s = r * s + m * u
+                columns.append(column)
+            self._prefix = prefix = prefix + tuple(map(_fsum_g, zip(*columns)))
         return prefix
+
+    def _weight_squares(self, lo: int, hi: int) -> list[float]:
+        """lambda_n^2 = theta g_{n+1} / g_n for lo <= n <= hi, in one pass over the prefix."""
+        theta = self.theta
+        if 0 <= lo and hi + 1 < PREFIX_WINDOW:
+            prefix = self._prefix if hi + 1 < len(self._prefix) else self._grow(hi + 1)
+            return [theta * b / a for a, b in zip(prefix[lo : hi + 1], prefix[lo + 1 : hi + 2])]
+        return [theta * self._g(n + 1) / self._g(n) for n in range(lo, hi + 1)]
+
+    def _grow_betas(self, n: int) -> tuple[float | None, ...]:
+        """The published betas, first extended to every index the prefix past n + 2 covers.
+
+        A block that fails anywhere is kept empty, so that each of its indices
+        is computed, and fails, by itself when it is read.
+        """
+        betas = self._betas
+        prefix = self._prefix if n + 2 < len(self._prefix) else self._grow(n + 2)
+        start = len(betas)
+        try:
+            block = _checked_betas(start, self._defect, self.theta, prefix[start:])
+        except ArithmeticError:
+            block = [None] * (len(prefix) - 2 - start)
+        self._betas = betas = betas + tuple(block)
+        return betas
+
+    def _beta_at(self, n: int) -> float:
+        """beta_n by itself: past the window, and in a block that failed."""
+        g = (self._g(n), self._g(n + 1), self._g(n + 2))
+        return _checked_betas(n, self._defect, self.theta, g)[0]
 
     def gamma(self, n: int) -> float:
         """gamma_n in double precision; +inf when it overflows the double range."""
-        return _unscale(self._scaled(n)[0], self.theta, n)
+        return _unscale(self._g(n), self.theta, n)
 
     def log_gamma(self, n: int) -> float:
-        lg = self._scaled(n)[1]
-        if math.isnan(lg):
+        g = self._g(n)
+        if not g > 0.0:
             raise ArithmeticError(f"gamma_{n} is not positive in double precision")
-        return lg
+        return n * self.log_theta + math.log(g)
 
     def weight(self, n: int) -> float:
-        return math.sqrt(self.theta * self._scaled(n + 1)[0] / self._scaled(n)[0])
+        return math.sqrt(self.theta * self._g(n + 1) / self._g(n))
 
     def beta(self, n: int) -> float:
         """Defect beta_n, computed both from the weights and in closed form.
 
-        The closed form is returned; disagreement beyond 1e-9 signals an
-        implementation bug and raises rather than averaging.
+        The closed form is returned; disagreement beyond BETA_AGREEMENT_RTOL
+        signals an implementation bug and raises rather than averaging.
         """
-        theta = self.theta
-        g0, g1, g2 = self._scaled(n)[0], self._scaled(n + 1)[0], self._scaled(n + 2)[0]
-        closed = math.fsum([w * (p / theta) ** n for p, w in self.defect_measure.atoms]) / g0
-        sq_a, sq_b = theta * g1 / g0, theta * g2 / g1
-        direct = 1.0 - 2.0 * sq_a + sq_a * sq_b
-        if abs(direct - closed) > BETA_AGREEMENT_RTOL * max(1.0, abs(closed)):
-            raise ArithmeticError(
-                f"defect mismatch at n={n}: weights give {direct!r}, closed form {closed!r}"
-            )
-        return closed
+        betas = self._betas
+        if not 0 <= n < len(betas):
+            if n < 0 or n + 2 >= PREFIX_WINDOW:
+                return self._beta_at(n)
+            betas = self._grow_betas(n)
+        b = betas[n]
+        return self._beta_at(n) if b is None else b
 
 
 def as_sequences(t: ScalarTriplet | ShiftSequences) -> ShiftSequences:

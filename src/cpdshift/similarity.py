@@ -161,8 +161,10 @@ def criterion_weight_band(
     """
     s = as_sequences(t)
     n_lo = min(n_lo, n_hi)
-    band = [s.weight(n) ** 2 for n in range(n_lo, n_hi + 1)]
-    lo, hi = min(band), max(band)
+    # lambda_n^2 = sqrt(x)^2 for the prefix ratio x; sqrt and squaring are monotone,
+    # so the band ends are those of the ratios, squared back the same way
+    ratios = s._weight_squares(n_lo, n_hi)
+    lo, hi = math.sqrt(min(ratios)) ** 2, math.sqrt(max(ratios)) ** 2
     witness = {"n_lo": n_lo, "n_hi": n_hi, "band_min": lo, "band_max": hi}
 
     if lo >= 2.0:

@@ -18,7 +18,6 @@ from .core import (
     ShiftSequences,
     as_sequences,
     classify_type,
-    diagonal_triplet,
 )
 from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, Verdict
@@ -185,8 +184,13 @@ def necessary_conditions(t: ScalarTriplet | ShiftSequences, k_max: int = 64) -> 
             note="support of nu is not contained in [0, 1]; conditions do not apply",
         )
 
-    diag = [diagonal_triplet(s, k) for k in range(k_max + 1)]
-    sums = [d.b_k + d.nu_k.total_mass() for d in diag]
+    # b_k and nu_k-total of diagonal_triplet(s, k), without building its measure
+    gammas = [s.gamma(k) for k in range(k_max + 2)]
+    b_ks = [(gammas[k + 1] - gk - t.c) / gk for k, gk in enumerate(gammas[:-1])]
+    sums = [
+        b_k + math.fsum(p**k * w / gk for p, w in t.nu.atoms)  # zero masses add nothing
+        for k, (gk, b_k) in enumerate(zip(gammas, b_ks))
+    ]
 
     cond_i = ConditionResult("i-c-zero", t.c == 0.0, detail="c = 0")
 
@@ -210,7 +214,7 @@ def necessary_conditions(t: ScalarTriplet | ShiftSequences, k_max: int = 64) -> 
         detail=f"b_k + nu_k-total = 0 for all k <= {k_max}, or supp nu != {{0}}",
     )
 
-    some_negative_b = any(d.b_k < -CONDITION_ZERO_ATOL for d in diag)
+    some_negative_b = any(b_k < -CONDITION_ZERO_ATOL for b_k in b_ks)
     interior = next((i for i, (p, _) in enumerate(t.nu.atoms) if 0.0 < p < 1.0), None)
     cond_iv = ConditionResult(
         "iv-negative-b-or-no-interior-atom",

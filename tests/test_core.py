@@ -288,7 +288,8 @@ class TestPrefix:
             g, point = s.gamma(n), core._gamma_value(t, n)
             if max(g, point) < math.inf:
                 assert math.isclose(g, point, rel_tol=1e-12), n
-            assert math.isclose(s.log_gamma(n), core._far_pair(t, n)[1], rel_tol=1e-12), n
+            kernel = n * s.log_theta + math.log(core._far_g(t, n))
+            assert math.isclose(s.log_gamma(n), kernel, rel_tol=1e-12), n
 
     def test_values_do_not_depend_on_the_order_of_reads(self):
         t = self.NEAR_ONE[2]
@@ -342,6 +343,21 @@ class TestBetaNearOne:
         for t in TestPrefix.NEAR_ONE + tuple(near_one_corpus(seed)):
             s = ShiftSequences(t)
             assert all(s.beta(n) > 0.0 for n in range(513))
+
+    @pytest.mark.parametrize("index", (40, 300, core.PREFIX_WINDOW - 3))
+    def test_check_fires_in_the_block(self, index):
+        # a g value off by 1e-6 leaves the closed form close but moves the weight route
+        s = ShiftSequences(TestPrefix.NEAR_ONE[2])
+        prefix = s._grow(core.PREFIX_WINDOW - 1)
+        assert len(prefix) == core.PREFIX_WINDOW
+        s._prefix = prefix[:index] + (prefix[index] * (1.0 + 1e-6),) + prefix[index + 1 :]
+        with pytest.raises(ArithmeticError, match=f"^defect mismatch at n={index}:"):
+            s.beta(index)
+        # indices the corrupted value does not reach stay readable in the same block
+        fresh = ShiftSequences(TestPrefix.NEAR_ONE[2])
+        for n in (index - 8, index + 1):
+            if 0 <= n < core.PREFIX_WINDOW - 2:
+                assert s.beta(n) == fresh.beta(n)
 
     @pytest.mark.parametrize("seed", (1, 2))
     def test_reports(self, seed):
@@ -400,6 +416,37 @@ class TestConcurrentReads:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert not failures
+
+
+    def test_threads_growing_one_beta_tuple_agree(self):
+        import sys
+        import threading
+
+        t = trip(0.3, 0.2, [(0.5, 1.0), (1.00001, 1.0), (3.0, 0.5)])
+        ref, s = ShiftSequences(t), ShiftSequences(t)
+        expected = [ref.beta(n) for n in range(core.PREFIX_WINDOW + 16)]
+        failures = []
+
+        def reader(k):
+            top = len(expected)
+            order = range(k, top, 5) if k % 2 else range(top - 1 - k, -1, -5)
+            if any(s.beta(n) != expected[n] for n in order):
+                failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not failures
+        assert len(s._prefix) <= core.PREFIX_WINDOW
+        assert all(type(g) is float for g in s._prefix)
 
 
 class TestClassify:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from cpdshift import (
     AtomicMeasure,
     ScalarTriplet,
     ShiftSequences,
+    diagonal_triplet,
     dichotomy_check,
     hankel_psd_oracle,
     is_subnormal,
     necessary_conditions,
+    validate_triplet,
     wab_classify,
 )
+from cpdshift.subnormality import CONDITION_ZERO_ATOL
 
 
 def trip(b, c, atoms=()):
@@ -134,6 +138,29 @@ class TestNecessaryConditions:
         report = necessary_conditions(t)
         assert report.applicable
         assert "iv-negative-b-or-no-interior-atom" in report.failed_ids
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_sums_are_those_of_the_diagonal_triplets(self, seed):
+        rng = random.Random(seed)
+        checked = 0
+        while checked < 30:
+            points = sorted({rng.choice((0.0, rng.uniform(0.0, 1.0))) for _ in range(3)})
+            nu = AtomicMeasure(tuple((p, rng.uniform(0.05, 0.5)) for p in points))
+            # b at the first resolvent sum makes every diagonal sum vanish
+            b = rng.choice((rng.uniform(-1.5, 1.0), nu.resolvent_integrals()[0]))
+            t = ScalarTriplet(b, 0.0, nu)
+            if not validate_triplet(t).is_yes:
+                continue
+            checked += 1
+            s = ShiftSequences(t)
+            diag = [diagonal_triplet(s, k) for k in range(17)]
+            sums = [d.b_k + d.nu_k.total_mass() for d in diag]
+            bad = next((k for k, v in enumerate(sums) if v > CONDITION_ZERO_ATOL), None)
+            negative_b = any(d.b_k < -CONDITION_ZERO_ATOL for d in diag)
+            report = necessary_conditions(s, k_max=16)
+            interior = any(0.0 < p < 1.0 for p in points)
+            assert report.conditions[1].witness_index == bad
+            assert report.conditions[3].passed == (negative_b or not interior)
 
     def test_json_shape(self):
         doc = necessary_conditions(trip(1.0, 0.0)).to_json()
