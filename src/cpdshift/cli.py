@@ -201,6 +201,10 @@ def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[d
 
 
 def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
+    """Type, subnormality, necessary conditions and similarity criteria of t.
+
+    n_max ends the weight-band window; the defect floor needs no window.
+    """
     report, seqs, code = _validated_header(t, "similar")
     if seqs is None:
         return report, code
@@ -217,7 +221,7 @@ def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
         dich = dichotomy_check(seqs)
         report["dichotomy"] = dich
     else:
-        criteria["similar_by_beta"] = similar_by_beta(seqs, n_scan=n_max)
+        criteria["similar_by_beta"] = similar_by_beta(seqs)
         criteria["criterion_kdwq"] = criterion_kdwq(seqs)
         try:
             criteria["criterion_nyttrs"] = criterion_nyttrs(seqs)

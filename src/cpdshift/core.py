@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .measures import AtomicMeasure
@@ -31,8 +32,8 @@ from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Verdict
 
 # g_n is kept for n < PREFIX_WINDOW and beta_n for n + 2 < PREFIX_WINDOW, so long
-# scans hold no more memory; blocks end at FIRST_BLOCK 2^k: 68 and 544 hold what
-# 64/512-term beta scans read.
+# scans hold no more memory; blocks end at FIRST_BLOCK 2^k: 68 holds the 65-term
+# beta witness prefix of `similar` and the 66 gamma values its reports read.
 PREFIX_WINDOW = 4096
 FIRST_BLOCK = 34
 
@@ -41,6 +42,10 @@ INDEX_LIMIT = 2**53
 
 # The two beta routes must agree this closely or the operation fails loudly.
 BETA_AGREEMENT_RTOL = 1e-9
+
+# relative size below which a computed leading coefficient L or A of a
+# triplet cannot be told from 0
+ROUNDING = 16 * sys.float_info.epsilon
 
 VALIDATION_TAG = "triplet-positivity"
 CLASSIFY_TAG = "defect-type-classification"
@@ -109,6 +114,36 @@ def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
     """
     i1, i2 = t.nu.resolvent_integrals()
     return t.b - i1, 1.0 - i2
+
+
+def gamma_growth_class(t: ScalarTriplet) -> tuple[float, int, float]:
+    """(r, d, K) with gamma_n ~ K r^n n^d, from gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2.
+
+    The top atom theta leads when theta > 1, else the first of c n^2, L n and
+    A with a positive coefficient, else the top atom below 1.
+
+    L and A are differences of rounded inputs: a value within ROUNDING of
+    the terms it is computed from counts as 0, as is_subnormal's tolerance
+    on b - i1 does.  So (a - 1, 0, 1 - 2a + a at 0), whose L is 0 but for
+    the rounding of 1 - 2a + a, has the class (1, 0, a) of W(a, 1), which
+    wab_classify builds with L = 0 exactly.
+    """
+    top, mass = t.nu.atoms[-1] if t.nu.atoms else (0.0, 0.0)
+    if top < 1.0:
+        slope, constant = limit_coefficients(t)
+        # scales |b| + |i1| and 1 + i2 (every atom lies below 1, so i1 <= 0 <= i2)
+        leading = (
+            (2, t.c, 0.0),
+            (1, slope, abs(t.b) + abs(t.b - slope)),
+            (0, constant, 2.0 - constant),
+        )
+        for d, coeff, scale in leading:
+            if coeff > ROUNDING * scale:
+                return 1.0, d, coeff
+        if top <= 0.0:  # no atom in (0, 1): gamma_n = A + L n for n >= 1, both rounding-level
+            return next((1.0, d, coeff) for d, coeff, _ in leading if coeff > 0.0)
+    # theta > 1, or below 1 an atom in (0, 1) leads a rounding-level L and A
+    return top, 0, mass / (top - 1.0) ** 2
 
 
 def _admissible_case(t: ScalarTriplet):

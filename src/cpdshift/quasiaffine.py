@@ -18,10 +18,9 @@ a finite truncation, accepts one.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
-from .core import ScalarTriplet, ShiftSequences, as_sequences, limit_coefficients
+from .core import ScalarTriplet, ShiftSequences, as_sequences, gamma_growth_class
 from .measures import AtomicMeasure
 from .similarity import ModelShift
 from .verdict import NO, YES, Verdict
@@ -31,9 +30,6 @@ SIMILARITY_TAG = "moment-ratio-two-sided"
 ALEVY_TAG = "unbounded-moments-vs-contractive"
 
 DEFAULT_N = 512
-# relative size below which a computed leading coefficient L or A of a
-# triplet cannot be told from 0
-ROUNDING = 16 * sys.float_info.epsilon
 
 
 def _require_positive_moments(m: AtomicMeasure) -> None:
@@ -69,16 +65,8 @@ def growth_class(obj) -> tuple[float, int, float]:
     """(r, d, K) with n-th moment ~ K r^n n^d, for a triplet, its sequences,
     an atomic measure or a model shift (its Berger measure).
 
-    A triplet's gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2 (see
-    core.limit_coefficients): its top atom theta leads when theta > 1, else
-    the first of c n^2, L n and A with a positive coefficient, else the top
-    atom below 1.  A measure's moments are led by the mass at its top point.
-
-    L and A are differences of rounded inputs: a value within ROUNDING of
-    the terms it is computed from counts as 0, as is_subnormal's tolerance
-    on b - i1 does.  So (a - 1, 0, 1 - 2a + a at 0), whose L is 0 but for
-    the rounding of 1 - 2a + a, has the class (1, 0, a) of W(a, 1), which
-    wab_classify builds with L = 0 exactly.
+    A triplet's class is core.gamma_growth_class; a measure's moments are
+    led by the mass at its top point.
     """
     if isinstance(obj, ModelShift):
         obj = obj.berger
@@ -88,23 +76,7 @@ def growth_class(obj) -> tuple[float, int, float]:
         return top, 0, mass
     if not isinstance(obj, (ScalarTriplet, ShiftSequences)):
         raise TypeError(f"no growth class for {type(obj).__name__}")
-    t = as_sequences(obj).triplet
-    top, mass = t.nu.atoms[-1] if t.nu.atoms else (0.0, 0.0)
-    if top < 1.0:
-        slope, constant = limit_coefficients(t)
-        # scales |b| + |i1| and 1 + i2 (every atom lies below 1, so i1 <= 0 <= i2)
-        leading = (
-            (2, t.c, 0.0),
-            (1, slope, abs(t.b) + abs(t.b - slope)),
-            (0, constant, 2.0 - constant),
-        )
-        for d, coeff, scale in leading:
-            if coeff > ROUNDING * scale:
-                return 1.0, d, coeff
-        if top <= 0.0:  # no atom in (0, 1): gamma_n = A + L n for n >= 1, both rounding-level
-            return next((1.0, d, coeff) for d, coeff, _ in leading if coeff > 0.0)
-    # theta > 1, or below 1 an atom in (0, 1) leads a rounding-level L and A
-    return top, 0, mass / (top - 1.0) ** 2
+    return gamma_growth_class(as_sequences(obj).triplet)
 
 
 def quasi_affine_test(lam_hat, om_hat) -> Verdict:

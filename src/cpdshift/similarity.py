@@ -1,10 +1,13 @@
-"""Sufficient criteria for similarity of a type-III shift to a subnormal
-shift, and the model subnormal shift itself.
+"""Criteria for similarity of a type-III shift to a subnormal shift, and the
+model subnormal shift itself.
 
-All criteria are sufficient: "no" means the hypotheses do not hold, never
-that similarity was refuted.  The only negative certificates live elsewhere:
-a vanishing defect term (two-parameter family) or a necessary-condition
-failure.
+The criteria other than similar_by_beta are sufficient: their "no" means
+the hypotheses do not hold, never that similarity was refuted.
+similar_by_beta decides the uniform defect floor, which the model theorem
+makes equivalent to similarity to the model shift, so its "no" (a defect
+sequence that vanishes or tends to 0) is a negative certificate for that
+model.  The other negative certificates live elsewhere: the type I/II
+dichotomy and the necessary conditions.
 """
 
 from __future__ import annotations
@@ -13,10 +16,13 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    ROUNDING,
     ScalarTriplet,
     ShiftSequences,
     as_sequences,
     classify_type,
+    gamma_growth_class,
+    limit_coefficients,
 )
 from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
@@ -28,51 +34,76 @@ WEIGHT_BAND_TAG = "weight-band"
 GROWTH_INEQ_TAG = "growth-inequalities"
 MODEL_TAG = "model-shift"
 
+# similar reads beta_n and lambda_n at n <= WITNESS_N and decides every later
+# index in closed form
+WITNESS_N = 64
+
 
 class ModelDegenerateError(ValueError):
     """The model shift exists only for type III; the completion space is too small."""
 
 
-def similar_by_beta(t: ScalarTriplet | ShiftSequences, n_scan: int = 512) -> Verdict:
-    """Certify inf beta_n > 0 (bounded invertibility of the model intertwiner).
+def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
+    """Decide inf beta_n > 0 (bounded invertibility of the model intertwiner).
 
-    Reads beta_0 .. beta_{n_scan} and, when some atom of nu exceeds 1, floors
-    every later term at once in closed form (see _tail_floor), so the work is
-    n_scan + 1 betas whatever theta is.  "yes" carries the certified floor; a
-    vanishing beta term is a definitive "no" (the shift lies in the
-    two-parameter family); a positive prefix with no tail certificate is
-    inconclusive.
+    beta_n = D_n / gamma_n with D_n the moments of the defect measure
+    nu + 2c at 1.  D is the second difference of gamma, so its growth class
+    (r, 0, K_D), led by its top atom, is at most gamma's (r, d, K)
+    (core.gamma_growth_class): beta_n tends to K_D / K when the two (r, d)
+    agree and to 0 otherwise.  Every beta_n of type III is positive, so the
+    infimum is positive exactly when that limit is.  A limit of 0, and a
+    defect measure that is zero (type I) or lives at the origin (type II,
+    beta_n = 0 from n = 1), is a definitive "no".  A positive limit is a
+    "yes" once a floor is certified: the least of beta_0 .. beta_WITNESS_N
+    and, past them, the closed-form floor of _tail_floor, which needs an
+    atom of nu above 1; without one the answer is inconclusive.
     """
     s = as_sequences(t)
     t = s.triplet
-    prefix_min, prefix_argmin = math.inf, None
-    for n in range(n_scan + 1):
-        bn = s.beta(n)
-        if bn == 0.0:
-            return Verdict(
-                NO,
-                "similar_by_beta",
-                BETA_FLOOR_TAG,
-                {"witness_index": n, "scanned_to": n_scan},
-                note="a defect term vanishes; the shift lies in the two-parameter model family",
-            )
-        if bn < prefix_min:
-            prefix_min, prefix_argmin = bn, n
+    defect = s.defect_measure.atoms
+    if not defect or defect[-1][0] == 0.0:
+        return Verdict(
+            NO,
+            "similar_by_beta",
+            BETA_FLOOR_TAG,
+            {"witness_index": len(defect), "limit": 0.0},
+            note="the defect terms vanish; the shift lies in the two-parameter model family",
+        )
+    top, mass = defect[-1]
+    class_gamma = gamma_growth_class(t)
+    limit = mass / class_gamma[2] if class_gamma[:2] == (top, 0) else 0.0
+    witness = {"class_gamma": class_gamma, "class_defect": (top, 0, mass), "limit": limit}
+    if limit == 0.0:
+        note = "the defect moments grow slower than gamma, so beta_n tends to 0"
+        return Verdict(NO, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
+    if not t.nu.support_max() > 1.0:
+        note = "beta_n has a positive limit, but no atom above 1 floors the tail"
+        return Verdict(INCONCLUSIVE, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
 
-    witness = {
-        "prefix_min": prefix_min,
-        "prefix_argmin": prefix_argmin,
-        "scanned_to": n_scan,
-    }
-    note = "no atom above 1; finite prefix positive but no asymptotic certificate"
-    if t.nu.support_max() > 1.0:
-        tail = _tail_floor(t, n_scan + 1)
-        eps = min(prefix_min, tail)
-        witness.update({"tail_floor": tail, "tail_from": n_scan + 1, "eps": eps})
-        if eps > 0.0:
-            return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
-        note = "certified floor underflows to 0"
+    betas = [s.beta(n) for n in range(WITNESS_N + 1)]
+    prefix_min = min(betas)
+    tail = _tail_floor(t, WITNESS_N + 1)
+    eps = min(prefix_min, tail)
+    witness.update(
+        {
+            "prefix_min": prefix_min,
+            "prefix_argmin": betas.index(prefix_min),
+            "scanned_to": WITNESS_N,
+            "tail_floor": tail,
+            "tail_from": WITNESS_N + 1,
+            "eps": eps,
+        }
+    )
+    if eps > 0.0:
+        return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
+    note = "certified floor underflows to 0"
     return Verdict(INCONCLUSIVE, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
+
+
+def _power_peak(k: int, n_from: int, log_theta: float) -> float:
+    """sup of n^k theta^-n over n >= n_from: the value at max(n_from, k / log theta)."""
+    n = max(n_from, k / log_theta)
+    return n**k * math.exp(-n * log_theta)
 
 
 def _tail_floor(t: ScalarTriplet, n_from: int) -> float:
@@ -82,18 +113,42 @@ def _tail_floor(t: ScalarTriplet, n_from: int) -> float:
     gamma_n <= sum_k a_k n^k + C theta^n with a = (1, b+, c + mass below 1 / 2)
     and C the second resolvent sum above 1, while the defect moment is at
     least mass({theta}) theta^n.  So beta_n >= mass({theta}) / (sum_k a_k n^k
-    theta^-n + C), and n^k theta^-n peaks over n >= n_from at max(n_from,
-    k / log theta), where it is at most ~1e31; the floor saturates to 0 only
-    when a coefficient is near the double limit.
+    theta^-n + C), where n^k theta^-n is at most ~1e31 (_power_peak); the
+    floor saturates to 0 only when a coefficient is near the double limit.
     """
     theta = t.nu.support_max()
     log_theta = math.log1p(theta - 1.0)
     mass_below = math.fsum(w for p, w in t.nu.atoms if p < 1.0)
     terms = [math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0)]
     for k, a in enumerate((1.0, max(t.b, 0.0), t.c + mass_below / 2.0)):
-        n = max(n_from, k / log_theta)
-        terms.append(a * (n**k * math.exp(-n * log_theta)))
+        terms.append(a * _power_peak(k, n_from, log_theta))
     return t.nu.mass_at(theta) / sum(terms)
+
+
+def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
+    """E >= sup over n >= n_from of |R_n| / K in g_n = gamma_n theta^-n = K + R_n.
+
+    Here theta > 1 is the top atom, K = mass({theta}) / (theta-1)^2 and
+    R_n = (A + L n + c n^2) theta^-n + sum_{x < theta} w (x/theta)^n / (x-1)^2
+    (core.limit_coefficients), bounded with |A| and |L| widened by their
+    rounding and n^k theta^-n by _power_peak.  E is scaled by
+    1 + n_from ROUNDING for the roundings in its own terms, a power of degree
+    n_from among them, and ROUNDING is added for those in g_n, so it bounds
+    the computed weights too.
+    """
+    theta, mass = t.nu.atoms[-1]
+    log_theta = math.log1p(theta - 1.0)
+    slope, constant = limit_coefficients(t)
+    i1_abs = math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
+    coeffs = (
+        abs(constant) + ROUNDING * (2.0 - constant),  # 1 + i2
+        abs(slope) + ROUNDING * (abs(t.b) + i1_abs),
+        t.c,
+    )
+    terms = [a * _power_peak(k, n_from, log_theta) for k, a in enumerate(coeffs)]
+    terms += [w * (p / theta) ** n_from / (p - 1.0) ** 2 for p, w in t.nu.atoms[:-1]]
+    err = math.fsum(terms) / (mass / (theta - 1.0) ** 2)
+    return err * (1.0 + n_from * ROUNDING) + ROUNDING
 
 
 def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
@@ -155,17 +210,32 @@ def criterion_weight_band(
     """Squared-weight band test on the window [n_lo, n_hi].
 
     Fits either (tau, M) with 1 + tau <= lambda_n^2 <= 1 + M, tau in (0, 1)
-    and (1 - tau)(1 + M) < 1, or tau >= 1 with 1 + tau <= lambda_n^2.  The
-    empirical band over the window is the witness; behavior beyond n_hi is not
-    extrapolated.  An n_hi below n_lo shrinks the window to [n_hi, n_hi].
+    and (1 - tau)(1 + M) < 1, or tau >= 1 with 1 + tau <= lambda_n^2, to the
+    band of lambda_n^2 over the whole window.  The band is read at
+    n <= WITNESS_N; past it lambda_n^2 = theta g_{n+1} / g_n lies in
+    [theta (1-E)/(1+E), theta (1+E)/(1-E)] with E from _weight_tail_error.
+    Without an atom theta > 1, or with E >= 1, that tail is unbounded and the
+    answer inconclusive.  An n_hi below n_lo shrinks the window to [n_hi, n_hi].
     """
     s = as_sequences(t)
     n_lo = min(n_lo, n_hi)
-    # lambda_n^2 = sqrt(x)^2 for the prefix ratio x; sqrt and squaring are monotone,
-    # so the band ends are those of the ratios, squared back the same way
-    ratios = s._weight_squares(n_lo, n_hi)
-    lo, hi = math.sqrt(min(ratios)) ** 2, math.sqrt(max(ratios)) ** 2
-    witness = {"n_lo": n_lo, "n_hi": n_hi, "band_min": lo, "band_max": hi}
+    lo, hi = math.inf, -math.inf
+    if n_lo <= WITNESS_N:
+        # lambda_n^2 = sqrt(x)^2 for the prefix ratio x; sqrt and squaring are
+        # monotone, so the band ends are those of the ratios, squared back the same way
+        ratios = s._weight_squares(n_lo, min(n_hi, WITNESS_N))
+        lo, hi = math.sqrt(min(ratios)) ** 2, math.sqrt(max(ratios)) ** 2
+    witness = {"n_lo": n_lo, "n_hi": n_hi}
+    if n_hi > WITNESS_N:
+        theta = s.triplet.nu.support_max()
+        err = _weight_tail_error(s.triplet, WITNESS_N + 1) if theta > 1.0 else math.inf
+        if err < 1.0:
+            lo = min(lo, theta * (1.0 - err) / (1.0 + err))
+            hi = max(hi, theta * (1.0 + err) / (1.0 - err))
+        else:
+            lo, hi = 0.0, math.inf
+        witness.update({"tail_from": WITNESS_N + 1, "tail_error": err})
+    witness.update({"band_min": lo, "band_max": hi})
 
     if lo >= 2.0:
         witness.update({"family": "tail-above-two", "tau": lo - 1.0})
@@ -175,13 +245,12 @@ def criterion_weight_band(
     if 0.0 < tau < 1.0 and m > 0.0 and (1.0 - tau) * (1.0 + m) < 1.0:
         witness.update({"family": "pinched-band", "tau": tau, "M": m})
         return Verdict(YES, "criterion_weight_band", WEIGHT_BAND_TAG, witness)
-    return Verdict(
-        INCONCLUSIVE,
-        "criterion_weight_band",
-        WEIGHT_BAND_TAG,
-        witness,
-        note="no admissible band over the scanned window",
+    note = (
+        "no closed-form bound on the weights past the read prefix"
+        if hi == math.inf
+        else "no admissible band over the window"
     )
+    return Verdict(INCONCLUSIVE, "criterion_weight_band", WEIGHT_BAND_TAG, witness, note=note)
 
 
 def _family_i(t: ScalarTriplet, total: float, inf_supp: float) -> bool:

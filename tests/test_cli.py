@@ -298,24 +298,24 @@ class TestGoldenBytes:
     NEAR_ONE = '{"b": 0.5, "c": 0.0, "nu": {"atoms": [[0.5, 1.0], [1.00019, 1.0]]}}'
     SPECS = {"readme": ATOM2, "mixed": MIXED, "near_one": NEAR_ONE}
     DIGESTS = {
-        ("similar", "readme", 0): "48d4f7db55212d704935499656052e3639d4026be97f21e766429673eb3c6d04",
-        ("similar", "readme", 2): "601830335833649d17c3fcfb9aff829189102427c5a6f91d3bb6e5e0ac954ea3",
+        ("similar", "readme", 0): "b0f2432ef12ded525a719567d9def2509594247deace5d5289715d9bfbd9b0cc",
+        ("similar", "readme", 2): "1dfe1f99e6d6e4140615240a9af94ceffaa0501d22592808fe833c3bd9335c92",
         ("model", "readme", 0): "b94d9d0a30a4a9b13a183e38ab117a1ca5d6968ecd4403c0b40b0b5122b0696f",
         ("model", "readme", 2): "5f3318e44ceffd27234f9870a73972fd76b43e95b03ea1a03947d63424bb02ae",
         ("classify", "readme", 0): "5cc958ae2e9cc629918e0c414edb2fba65ddef586da006390e4356613cef3a9d",
         ("classify", "readme", 2): "8be55f2eab223eb73c6016a9208f90102171939148e65d8949468fba49ebf038",
         ("compare", "readme", 0): "df96eb35a3714e63004215317e114958a6ed41239590e5fa017fa4745538e736",
         ("compare", "readme", 2): "1060d95b2071f4439701718721e5b940a8e348c0c995467988a84336c2e2dbfe",
-        ("similar", "mixed", 0): "7f53069b4edd6317de422abb1b053eb4424164fc68e7ac96702d5e0fc2dfe08d",
-        ("similar", "mixed", 2): "e0a9d1781ee09703d8c2a4e9ca84e198b366b4bf4e1241d8fbe34fc70ccb1be6",
+        ("similar", "mixed", 0): "561c2de3161077ec19215ca882ed6eda5c7b7daca232493051e553a557c02d67",
+        ("similar", "mixed", 2): "f423159f539e74c2c5d5e24c887b9a957965fd1e1b8d43b23dd8b47ddec15fa9",
         ("model", "mixed", 0): "075acd90c34cd2bd3c0e579ad4f4224c52ba73f5b1ab58e55125f6305c0dd92b",
         ("model", "mixed", 2): "18451a4d877a1cddd87dd56988e3308961a57fda0d2c3f162d10fe00e3ddf2ca",
         ("classify", "mixed", 0): "531cdf79bca59d619d9812e16ad5e50b23c66e5f794638c089f73fa5dbb5d137",
         ("classify", "mixed", 2): "1e89a88f11a5e1d5dc157eff1eab0e91f03667b8d883a53e6f46f141c0d6ac33",
         ("compare", "mixed", 0): "aad9db3dd62b6608179aebc36626b6e3c6ef79578d6d7a3754fffe28e7bbebea",
         ("compare", "mixed", 2): "50fb550fe45ed35d3f3af9135bb7713ca18abc7fea97729b3e73176470ac684b",
-        ("similar", "near_one", 0): "41c0ddff7da6e1ff8be00aea798c0cc216d925009157ab6cedbd9da14b58739d",
-        ("similar", "near_one", 2): "ab1c6ace32ff3044be0f6193837f84058fc2f7de8e27ff7585f1e2cf34d5d307",
+        ("similar", "near_one", 0): "bd01fb617e18e9ed95d75c9d2f2dd56ac8bb87d72261d8fceb6ea805cce8dd6c",
+        ("similar", "near_one", 2): "11a52d6aedbe9c09409b71d6ed7aaa0b9a28e78a5546db772423b0d13472f48b",
         ("model", "near_one", 0): "c8e37708378fff98d41bfae07d7f555550cf2216ae0126364562b13d34b90c2e",
         ("model", "near_one", 2): "9f7e9fdab94d871289dd60097992c92429a6acc86206b00288bdb1ad6d3117a7",
         ("classify", "near_one", 0): "1448c71c98b6fcb320568ab25a2008566040b458183d2815d71bf55e64ded6fb",

@@ -1,0 +1,93 @@
+"""Seeded property tests: the defect floor decided from growth classes, and the weight tail.
+
+similar_by_beta decides lim beta_n from the growth classes of the defect
+measure and of gamma; on the triplets where that decision is definitive it
+must agree with the two-sided moment-ratio test against the model shift.
+criterion_weight_band reads lambda_n^2 only up to WITNESS_N and encloses
+every later value in closed form; the computed ratios theta g_{n+1} / g_n
+must lie inside that enclosure, in the prefix and past it.
+"""
+
+import math
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from cpdshift import (
+    AtomicMeasure,
+    InvalidTripletError,
+    ScalarTriplet,
+    ShiftSequences,
+    classify_type,
+    criterion_weight_band,
+    model_subnormal,
+    similar_by_beta,
+    similarity_test,
+)
+from cpdshift.core import PREFIX_WINDOW, ROUNDING
+from cpdshift.similarity import WITNESS_N
+
+# an atom anywhere in [0, 20], or 1e-9..1e-1 from 1 on either side
+points = st.floats(0.0, 20.0) | st.tuples(
+    st.sampled_from((-1.0, 1.0)), st.floats(-9.0, -1.0)
+).map(lambda p: 1.0 + p[0] * 10 ** p[1])
+atoms = st.lists(
+    st.tuples(points.filter(lambda x: x != 1.0), st.floats(-3.0, 1.0).map(lambda e: 10**e)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def triplets(draw):
+    c = draw(st.just(0.0) | st.floats(0.0, 2.0))
+    return ScalarTriplet(draw(st.floats(-1.0, 2.0)), c, AtomicMeasure.from_atoms(draw(atoms)))
+
+
+def sequences(t: ScalarTriplet) -> ShiftSequences:
+    try:
+        return ShiftSequences(t)
+    except InvalidTripletError:
+        assume(False)
+
+
+def trip(b, c, pairs):
+    return ScalarTriplet(b, c, AtomicMeasure(tuple(pairs)))
+
+
+def decided_by_class(t: ScalarTriplet) -> bool:
+    """A top atom above 1, c > 0, or a slope L = b - i1 above its rounding."""
+    i1 = math.fsum(w / (p - 1.0) for p, w in t.nu.atoms)
+    i1_abs = math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
+    return t.nu.support_max() > 1.0 or t.c > 0.0 or t.b - i1 > ROUNDING * (abs(t.b) + i1_abs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(triplets())
+@example(trip(0.0, 1.0, [(0.5, 0.2)]))
+@example(trip(0.3, 0.0, [(0.5, 0.4)]))
+@example(trip(0.5, 0.25, [(0.5, 1.0), (1.0 + 7.5e-9, 0.5)]))
+def test_defect_floor_matches_the_model_ratio_test(t):
+    s = sequences(t)
+    assume(classify_type(s).kind == "III" and decided_by_class(t))
+    v = similar_by_beta(s)
+    assert v.outcome == similarity_test(s, model_subnormal(s)).outcome
+    assert v.is_yes == (t.nu.support_max() > 1.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(triplets())
+@example(trip(0.0, 0.0, [(4.0, 1.0)]))
+@example(trip(0.5, 0.25, [(0.5, 1.0), (2.0, 0.5)]))
+@example(trip(0.17720689370451323, 0.0, [(1.132398, 0.010222038312690144)]))
+def test_weights_lie_in_the_tail_enclosure(t):
+    s = sequences(t)
+    theta = t.nu.support_max()
+    assume(theta > 1.0)
+    err = criterion_weight_band(s).witness["tail_error"]
+    if err >= 1.0:
+        return  # the enclosure is unbounded
+    lo, hi = theta * (1.0 - err) / (1.0 + err), theta * (1.0 + err) / (1.0 - err)
+    ratios = s._weight_squares(WITNESS_N + 1, PREFIX_WINDOW - 2)
+    ratios += [theta * s._g(n + 1) / s._g(n) for n in (10**4, 10**6)]
+    assert all(lo <= r <= hi for r in ratios), (lo, hi, min(ratios), max(ratios))

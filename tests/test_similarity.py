@@ -19,6 +19,7 @@ from cpdshift import (
     similar_by_beta,
     wab_classify,
 )
+from cpdshift.cli import similar_report
 
 
 def trip(b, c, atoms=()):
@@ -55,10 +56,10 @@ class TestSimilarByBeta:
         assert v.is_no
         assert v.witness["witness_index"] >= 1
 
-    def test_no_atom_above_one_inconclusive(self):
+    def test_no_atom_above_one_is_no(self):
         v = similar_by_beta(trip(0.0, 1.0))
-        assert v.is_inconclusive
-        assert v.witness["prefix_min"] > 0.0
+        assert v.is_no
+        assert v.witness["limit"] == 0.0
 
 
 class TestTailFloor:
@@ -77,10 +78,21 @@ class TestTailFloor:
             return beta(self, n)
 
         monkeypatch.setattr(ShiftSequences, "beta", counting)
-        v = similar_by_beta(s, n_scan=512)
-        assert calls == list(range(513))
+        v = similar_by_beta(s)
+        assert len(calls) <= 65
         assert v.is_yes
-        assert v.witness["tail_from"] == 513
+        assert v.witness["tail_from"] == 65
+
+        built = []
+        init = ShiftSequences.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(ShiftSequences, "__init__", recording)
+        similar_report(s.triplet, 512)
+        assert len(built) == 1 and len(built[0]._prefix) <= 68
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_floor_holds_far_out(self, theta):
