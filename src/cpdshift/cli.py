@@ -86,7 +86,11 @@ def dumps(obj, indent: int = 0) -> str:
             if not o:
                 return "[]"
             pad_in = " " * (indent * (depth + 1))
-            items = sep.join([f"{pad_in}{emit(v, depth + 1)}" for v in o])
+            # a sum is finite only if every term is
+            if set(map(type, o)) == {float} and math.isfinite(sum(o)):
+                items = pad_in + (sep + pad_in).join(map(_fmt, o))
+            else:
+                items = sep.join([f"{pad_in}{emit(v, depth + 1)}" for v in o])
             return "[" + nl + items + nl + " " * (indent * depth) + "]"
         if o is None:
             return "null"
@@ -166,10 +170,10 @@ def classify_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
     if seqs is None:
         return report, code
     label = classify_type(seqs)
-    betas = [seqs.beta(n) for n in range(1, max(2, n_max) + 1)]
+    beta0, *betas = seqs.betas(max(2, n_max) + 1)
     report["type"] = label
     report["beta"] = {
-        "beta0": seqs.beta(0),
+        "beta0": beta0,
         "min_over_1_to_n_max": min(betas),
         "all_positive_1_to_n_max": all(b > 0.0 for b in betas),
         "n_max": n_max,
@@ -184,7 +188,7 @@ def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[d
     if seqs is None:
         return report, code
     sub = is_subnormal(seqs)
-    moments = [seqs.gamma(n) for n in range(2 * hankel_order + 2)]
+    moments = seqs.gammas(2 * hankel_order + 2)
     oracle = hankel_psd_oracle(moments, hankel_order, tol)
     report["subnormal"] = sub
     report["hankel_oracle"] = oracle
@@ -306,14 +310,12 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
 
 
 def series_rows(seqs: ShiftSequences, n_max: int):
-    for n in range(n_max + 1):
-        yield {
-            "n": n,
-            "gamma": seqs.gamma(n),
-            "lambda": seqs.weight(n),
-            "beta": seqs.beta(n),
-            "log_gamma": seqs.log_gamma(n),
-        }
+    count = n_max + 1
+    # betas first: where g_n cancels to 0 they raise at a lower index than the weights do
+    betas = seqs.betas(count)
+    columns = (seqs.gammas(count), seqs.weights(count), betas, seqs.log_gammas(count))
+    for n, (gamma, weight, beta, log_gamma) in enumerate(zip(*columns)):
+        yield {"n": n, "gamma": gamma, "lambda": weight, "beta": beta, "log_gamma": log_gamma}
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -18,6 +18,10 @@ ShiftSequences keeps g_n for n < PREFIX_WINDOW in a prefix and derives log
 gamma_n from it on read.  It builds beta_n in blocks from that prefix, checking
 the closed form against the weight route at every index; past the window both
 fall back to the O(1) kernel, one index at a time.
+
+Each per-index read has a bulk read (gammas, log_gammas, weights, betas) that
+returns every n < count in one pass with the same float operations: the same
+bits, and the same exception at the first index whose read raises.
 """
 
 from __future__ import annotations
@@ -352,6 +356,10 @@ class ShiftSequences:
     and its indices are computed one at a time when read, so only a failing
     index raises.  Past PREFIX_WINDOW both fall back to the O(1) kernel.  Prefix and betas are immutable tuples published by one
     assignment each, so they need no lock.
+
+    gammas, log_gammas, weights and betas read every n < count in one pass, bit
+    for bit equal to the per-index reads, which serve random access; past the
+    window they evaluate each g_n once.
     """
 
     def __init__(self, triplet: ScalarTriplet, validation: Verdict | None = None):
@@ -397,16 +405,27 @@ class ShiftSequences:
                     column.append(w * s)
                     s = r * s + m * u
                 columns.append(column)
-            self._prefix = prefix = prefix + tuple(map(_fsum_g, zip(*columns)))
+            try:
+                block = tuple(map(math.fsum, zip(*columns)))
+            except OverflowError:  # some g_m past the double range reads +inf
+                block = tuple(map(_fsum_g, zip(*columns)))
+            self._prefix = prefix = prefix + block
         return prefix
 
+    def _gs(self, count: int) -> tuple[float, ...] | list[float]:
+        """g_n for every n < count: the prefix, then one kernel call per index past the window."""
+        if count <= PREFIX_WINDOW:
+            prefix = self._prefix if count <= len(self._prefix) else self._grow(count - 1)
+            return prefix[: max(count, 0)]
+        far = [_far_g(self.triplet, n) for n in range(PREFIX_WINDOW, count)]
+        return list(self._grow(PREFIX_WINDOW - 1)) + far
+
     def _weight_squares(self, lo: int, hi: int) -> list[float]:
-        """lambda_n^2 = theta g_{n+1} / g_n for lo <= n <= hi, in one pass over the prefix."""
-        theta = self.theta
-        if 0 <= lo and hi + 1 < PREFIX_WINDOW:
-            prefix = self._prefix if hi + 1 < len(self._prefix) else self._grow(hi + 1)
-            return [theta * b / a for a, b in zip(prefix[lo : hi + 1], prefix[lo + 1 : hi + 2])]
-        return [theta * self._g(n + 1) / self._g(n) for n in range(lo, hi + 1)]
+        """lambda_n^2 = theta g_{n+1} / g_n for lo <= n <= hi, in one pass over g."""
+        if lo < 0:
+            raise ValueError("index must be nonnegative")
+        g, theta = self._gs(hi + 2), self.theta
+        return [theta * b / a for a, b in zip(g[lo:], g[lo + 1 :])]
 
     def _grow_betas(self, n: int) -> tuple[float | None, ...]:
         """The published betas, first extended to every index the prefix past n + 2 covers.
@@ -433,14 +452,29 @@ class ShiftSequences:
         """gamma_n in double precision; +inf when it overflows the double range."""
         return _unscale(self._g(n), self.theta, n)
 
-    def log_gamma(self, n: int) -> float:
-        g = self._g(n)
+    def gammas(self, count: int) -> list[float]:
+        """gamma(n) for every n < count."""
+        theta = self.theta
+        return [_unscale(g, theta, n) for n, g in enumerate(self._gs(count))]
+
+    def _log_gamma(self, n: int, g: float) -> float:
         if not g > 0.0:
             raise ArithmeticError(f"gamma_{n} is not positive in double precision")
         return n * self.log_theta + math.log(g)
 
+    def log_gamma(self, n: int) -> float:
+        return self._log_gamma(n, self._g(n))
+
+    def log_gammas(self, count: int) -> list[float]:
+        """log_gamma(n) for every n < count; raises at the first n that log_gamma raises at."""
+        return [self._log_gamma(n, g) for n, g in enumerate(self._gs(count))]
+
     def weight(self, n: int) -> float:
         return math.sqrt(self.theta * self._g(n + 1) / self._g(n))
+
+    def weights(self, count: int) -> list[float]:
+        """weight(n) for every n < count."""
+        return [math.sqrt(x) for x in self._weight_squares(0, count - 1)]
 
     def beta(self, n: int) -> float:
         """Defect beta_n, computed both from the weights and in closed form.
@@ -455,6 +489,19 @@ class ShiftSequences:
             betas = self._grow_betas(n)
         b = betas[n]
         return self._beta_at(n) if b is None else b
+
+    def betas(self, count: int) -> list[float]:
+        """beta(n) for every n < count; raises at the first n that beta raises at.
+
+        Past the window each index is checked on its own three g values, as in beta.
+        """
+        inside = max(0, min(count, PREFIX_WINDOW - 2))
+        betas = self._betas if inside <= len(self._betas) else self._grow_betas(inside - 1)
+        out = [self._beta_at(n) if b is None else b for n, b in enumerate(betas[:inside])]
+        if count > inside:
+            g, defect, theta = self._gs(count + 2), self._defect, self.theta
+            out += [_checked_betas(n, defect, theta, g[n : n + 3])[0] for n in range(inside, count)]
+        return out
 
 
 def as_sequences(t: ScalarTriplet | ShiftSequences) -> ShiftSequences:

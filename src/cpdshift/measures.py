@@ -35,6 +35,9 @@ class AtomicMeasure:
 
     Invariants: points are finite, nonnegative and strictly increasing; masses
     are finite and strictly positive.
+
+    moments and log_moments read every n < count in one pass, bit for bit
+    equal to moment(n) and log_moment(n).
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -135,6 +138,23 @@ class AtomicMeasure:
         if not top > 0.0:
             return -math.inf
         return n * math.log(top) + math.log(math.fsum(m * (p / top) ** n for p, m in self.atoms))
+
+    def moments(self, count: int) -> list[float]:
+        """moment(n) for every n < count: one column of m p^n per atom, one fsum per index."""
+        try:
+            columns = [[m * p**n for n in range(count)] for p, m in self.atoms]
+            return [math.fsum(row) for row in zip(*columns)] if columns else [0.0] * count
+        except OverflowError:  # a power or a sum past the double range
+            return [self.moment(n) for n in range(count)]
+
+    def log_moments(self, count: int) -> list[float]:
+        """log_moment(n) for every n < count: one column of m (p/top)^n per atom."""
+        top = self.support_max()
+        if not top > 0.0:
+            return [self.log_moment(n) for n in range(count)]
+        log_top = math.log(top)
+        columns = [[m * (p / top) ** n for n in range(count)] for p, m in self.atoms]
+        return [n * log_top + math.log(math.fsum(row)) for n, row in enumerate(zip(*columns))]
 
     def integrate_q(self, n: int) -> float:
         """Integral of the kernel polynomial q_poly(n, .) against the measure."""

@@ -44,10 +44,9 @@ def _log_moments(obj, count: int) -> list[float]:
         obj = obj.berger
     if isinstance(obj, AtomicMeasure):
         _require_positive_moments(obj)
-        return [obj.log_moment(n) for n in range(count)]
+        return obj.log_moments(count)
     if isinstance(obj, (ScalarTriplet, ShiftSequences)):
-        seqs = as_sequences(obj)
-        return [seqs.log_gamma(n) for n in range(count)]
+        return as_sequences(obj).log_gammas(count)
     if isinstance(obj, (list, tuple)) or hasattr(obj, "tolist"):  # weights, also as an array
         ws = [float(w) for w in obj]
         if any(not (w > 0.0) for w in ws):

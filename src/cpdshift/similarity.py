@@ -80,7 +80,7 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
         note = "beta_n has a positive limit, but no atom above 1 floors the tail"
         return Verdict(INCONCLUSIVE, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
 
-    betas = [s.beta(n) for n in range(WITNESS_N + 1)]
+    betas = s.betas(WITNESS_N + 1)
     prefix_min = min(betas)
     tail = _tail_floor(t, WITNESS_N + 1)
     eps = min(prefix_min, tail)
@@ -407,10 +407,11 @@ class ModelShift:
         return math.exp(0.5 * (self.log_moment(n + 1) - self.log_moment(n)))
 
     def moments(self, count: int) -> list[float]:
-        return [self.moment(n) for n in range(count)]
+        return self.berger.moments(count)
 
     def weights(self, count: int) -> list[float]:
-        return [self.weight(n) for n in range(count)]
+        logs = self.berger.log_moments(count + 1)
+        return [math.exp(0.5 * (b - a)) for a, b in zip(logs, logs[1:])]
 
 
 def model_subnormal(t: ScalarTriplet | ShiftSequences) -> ModelShift:
@@ -435,9 +436,7 @@ def b2_identity_check(
 ) -> bool:
     """gamma_n * beta_n equals the n-th moment of nu + 2c at 1, for n <= m_max."""
     s = as_sequences(t)
-    for n in range(m_max + 1):
-        lhs = s.gamma(n) * s.beta(n)
-        rhs = s.defect_measure.moment(n)
-        if abs(lhs - rhs) > rtol * max(1.0, abs(lhs), abs(rhs)):
-            return False
-    return True
+    count = m_max + 1
+    lhs = [g * b for g, b in zip(s.gammas(count), s.betas(count))]
+    rhs = s.defect_measure.moments(count)
+    return not any(abs(x - y) > rtol * max(1.0, abs(x), abs(y)) for x, y in zip(lhs, rhs))

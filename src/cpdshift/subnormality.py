@@ -185,7 +185,7 @@ def necessary_conditions(t: ScalarTriplet | ShiftSequences, k_max: int = 64) -> 
         )
 
     # b_k and nu_k-total of diagonal_triplet(s, k), without building its measure
-    gammas = [s.gamma(k) for k in range(k_max + 2)]
+    gammas = s.gammas(k_max + 2)
     b_ks = [(gammas[k + 1] - gk - t.c) / gk for k, gk in enumerate(gammas[:-1])]
     sums = [
         b_k + math.fsum(p**k * w / gk for p, w in t.nu.atoms)  # zero masses add nothing

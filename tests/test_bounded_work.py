@@ -1,7 +1,7 @@
 """Seeded property test: similar and model reports finish after bounded work.
 
 Validation makes O(log n) kernel evaluations up to the index limit 2^53, and
-the beta criterion reads exactly n_scan + 1 defects, so the counts below hold
+the reports read betas and gammas at n <= 65 only, so the counts below hold
 for every triplet, whatever its slope or its distance of the top atom to 1.
 """
 
@@ -13,12 +13,18 @@ from hypothesis import strategies as st
 
 from cpdshift import AtomicMeasure, ScalarTriplet, ShiftSequences, core
 from cpdshift.cli import model_report, similar_report
+from cpdshift.similarity import WITNESS_N
 
 N_SCAN, N_MODEL = 512, 32
 # two validations, each at most 4 kernel calls per doubling of the exit index, up to 2^53
 MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
-# the beta scan, beta_1 for each type check, and the model identity check
-MAX_BETA_CALLS = (N_SCAN + 1) + 2 + (N_MODEL + 1)
+# the prefix the 65 witness betas (g_n to n = 66) and the 66 gammas of the
+# necessary conditions need: two blocks
+MAX_PREFIX = 2 * core.FIRST_BLOCK
+# beta blocks check every index of each prefix but its last two, and an index
+# in a block that failed is checked again on each read: the witness betas, the
+# model identity check and beta_1 for each type check
+MAX_CHECKED = 2 * (MAX_PREFIX - 2) + (WITNESS_N + 1) + (N_MODEL + 1) + 2
 
 atoms = st.lists(
     st.tuples(
@@ -55,12 +61,19 @@ def trip(b, c, pairs):
 @example(trip(-1e-7, 0.0, [(1.000001, 1e-14)]))
 @example(trip(0.5, 0.0, [(0.5, 1.0), (1.0 + 3e-7, 1.0)]))
 def test_reports_do_bounded_work(t):
+    built, init = [], ShiftSequences.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
     count_gamma = mock.patch.object(core, "_gamma_value", wraps=core._gamma_value)
-    count_beta = mock.patch.object(
-        ShiftSequences, "beta", autospec=True, side_effect=ShiftSequences.beta
-    )
-    with count_gamma as gamma, count_beta as beta:
+    count_checked = mock.patch.object(core, "_checked_betas", wraps=core._checked_betas)
+    record = mock.patch.object(ShiftSequences, "__init__", recording)
+    with count_gamma as gamma, count_checked as checked, record:
         similar_report(t, N_SCAN)
         model_report(t, N_MODEL)
     assert gamma.call_count <= MAX_GAMMA_CALLS
-    assert beta.call_count <= MAX_BETA_CALLS
+    # _checked_betas(start, defect, theta, g) checks len(g) - 2 indices
+    assert sum(len(call.args[3]) - 2 for call in checked.call_args_list) <= MAX_CHECKED
+    assert all(len(s._prefix) <= MAX_PREFIX for s in built)

@@ -14,6 +14,7 @@ from cpdshift import (
     criterion_nyttrs,
     criterion_weight_band,
     classify_type,
+    core,
     defect_moment_measure,
     model_subnormal,
     similar_by_beta,
@@ -70,16 +71,17 @@ class TestTailFloor:
     @pytest.mark.parametrize("theta", THETAS)
     def test_scan_reads_the_prefix_only(self, theta, monkeypatch):
         s = ShiftSequences(trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)]))
-        calls = []
-        beta = ShiftSequences.beta
+        checked = []
+        check = core._checked_betas
 
-        def counting(self, n):
-            calls.append(n)
-            return beta(self, n)
+        def counting(start, defect, theta, g):
+            checked.extend(range(start, start + len(g) - 2))
+            return check(start, defect, theta, g)
 
-        monkeypatch.setattr(ShiftSequences, "beta", counting)
+        monkeypatch.setattr(core, "_checked_betas", counting)
         v = similar_by_beta(s)
-        assert len(calls) <= 65
+        # the 65 witness betas, in blocks that end with the prefix of g_0 .. g_67
+        assert max(checked) <= 65 and len(checked) <= 66
         assert v.is_yes
         assert v.witness["tail_from"] == 65
 
