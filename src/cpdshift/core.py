@@ -491,10 +491,7 @@ class ShiftSequences:
         return self._beta_at(n) if b is None else b
 
     def betas(self, count: int) -> list[float]:
-        """beta(n) for every n < count; raises at the first n that beta raises at.
-
-        Past the window each index is checked on its own three g values, as in beta.
-        """
+        """beta(n) for every n < count; past the window each index is checked alone, as in beta."""
         inside = max(0, min(count, PREFIX_WINDOW - 2))
         betas = self._betas if inside <= len(self._betas) else self._grow_betas(inside - 1)
         out = [self._beta_at(n) if b is None else b for n, b in enumerate(betas[:inside])]
