@@ -3,6 +3,9 @@
 Generate shifts from scalar representing triplets, classify them, decide
 subnormality and similarity to subnormal shifts, build the model subnormal
 shift, and test quasi-affinity and similarity between shift pairs.
+
+The W(a, b) family module wab and its names load on first access, so that a
+process which never reads them does not import it.
 """
 
 from .core import (
@@ -53,14 +56,29 @@ from .verdict import (
     NotApplicableError,
     Verdict,
 )
-from .wab import (
-    GrowthFamilyExample,
-    WabClassification,
-    generate_3uwre,
-    wab_classify,
-    wab_weight_list,
-    wab_weights,
-)
+
+_WAB_NAMES = {
+    "GrowthFamilyExample",
+    "WabClassification",
+    "generate_3uwre",
+    "wab_classify",
+    "wab_weight_list",
+    "wab_weights",
+}
+
+
+def __getattr__(name: str):
+    """The module wab and its names, imported on first access and kept as module globals."""
+    if name != "wab" and name not in _WAB_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # `from . import wab` would look up this hook again
+
+    wab = import_module(f"{__name__}.wab")  # binds the global wab
+    if name == "wab":
+        return wab
+    value = globals()[name] = getattr(wab, name)
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -37,7 +36,6 @@ from .subnormality import (
     necessary_conditions,
 )
 from .verdict import NotApplicableError, Verdict
-from .wab import generate_3uwre, wab_classify
 
 EXIT_DECIDED = 0
 EXIT_INPUT_ERROR = 1
@@ -310,11 +308,7 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
 
 
 def series_rows(seqs: ShiftSequences, n_max: int):
-    count = n_max + 1
-    # betas first: where g_n cancels to 0 they raise at a lower index than the weights do
-    betas = seqs.betas(count)
-    columns = (seqs.gammas(count), seqs.weights(count), betas, seqs.log_gammas(count))
-    for n, (gamma, weight, beta, log_gamma) in enumerate(zip(*columns)):
+    for n, (gamma, weight, beta, log_gamma) in enumerate(zip(*seqs.columns(n_max + 1))):
         yield {"n": n, "gamma": gamma, "lambda": weight, "beta": beta, "log_gamma": log_gamma}
 
 
@@ -428,8 +422,11 @@ def _run_batch(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("CPDSHIFT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("CPDSHIFT_LOG")
+    if level:
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, which reads as inconclusive
@@ -487,6 +484,8 @@ def main(argv=None) -> int:
 
 
 def _run_examples(args) -> int:
+    from .wab import generate_3uwre, wab_classify
+
     if args.example_kind == "wab":
         cl = wab_classify(args.a, args.b)
         if not cl.cpd:

@@ -29,11 +29,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from .measures import AtomicMeasure
 from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
-from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Verdict
+from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Record, Verdict, _set
 
 # g_n is kept for n < PREFIX_WINDOW and beta_n for n + 2 < PREFIX_WINDOW, so long
 # scans hold no more memory; blocks end at FIRST_BLOCK 2^k: 68 holds the 65-term
@@ -55,23 +54,23 @@ VALIDATION_TAG = "triplet-positivity"
 CLASSIFY_TAG = "defect-type-classification"
 
 
-@dataclass(frozen=True)
-class ScalarTriplet:
+class ScalarTriplet(Record):
     """Generating data (b, c, nu) of a CPD weighted shift candidate."""
 
-    b: float
-    c: float
-    nu: AtomicMeasure
+    __slots__ = ("b", "c", "nu")
 
-    def __post_init__(self):
-        if not math.isfinite(self.b):
-            raise ValueError(f"b must be a finite real, got {self.b!r}")
-        if not math.isfinite(self.c) or self.c < 0.0:
-            raise ValueError(f"c must be a finite nonnegative real, got {self.c!r}")
-        if not isinstance(self.nu, AtomicMeasure):
+    def __init__(self, b: float, c: float, nu: AtomicMeasure):
+        if not math.isfinite(b):
+            raise ValueError(f"b must be a finite real, got {b!r}")
+        if not math.isfinite(c) or c < 0.0:
+            raise ValueError(f"c must be a finite nonnegative real, got {c!r}")
+        if not isinstance(nu, AtomicMeasure):
             raise TypeError("nu must be an AtomicMeasure")
-        if any(p == 1.0 for p, _ in self.nu.atoms):
+        if any(p == 1.0 for p, _ in nu.atoms):
             raise ValueError("nu must have no atom at the point 1")
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "nu", nu)
 
     def to_json(self) -> dict:
         return {"b": self.b, "c": self.c, "nu": self.nu.to_json()}
@@ -86,28 +85,32 @@ class ScalarTriplet:
         return cls(float(obj["b"]), float(obj["c"]), AtomicMeasure.from_json(obj["nu"]))
 
 
-@dataclass(frozen=True)
-class TypeLabel:
+class TypeLabel(Record):
     """Shift class: "I" (both defect data vanish), "II" (origin-supported), "III" (the rest).
 
     dim is the dimension of the defect completion space: 0, 1 or "aleph0".
     """
 
-    kind: str
-    dim: object
+    __slots__ = ("kind", "dim")
+
+    def __init__(self, kind: str, dim: object):
+        _set(self, "kind", kind)
+        _set(self, "dim", dim)
 
     def to_json(self) -> dict:
         return {"type": self.kind, "dim": self.dim}
 
 
-@dataclass(frozen=True)
-class DiagonalTriplet:
+class DiagonalTriplet(Record):
     """Index-k entry of the diagonal operator triplet attached to the shift."""
 
-    k: int
-    b_k: float
-    c_k: float
-    nu_k: AtomicMeasure
+    __slots__ = ("k", "b_k", "c_k", "nu_k")
+
+    def __init__(self, k: int, b_k: float, c_k: float, nu_k: AtomicMeasure):
+        _set(self, "k", k)
+        _set(self, "b_k", b_k)
+        _set(self, "c_k", c_k)
+        _set(self, "nu_k", nu_k)
 
 
 def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
@@ -354,12 +357,15 @@ class ShiftSequences:
     from the prefix and the rounded ratios x/theta of the defect atoms, each
     index checked against the weight route; a block that fails is kept empty,
     and its indices are computed one at a time when read, so only a failing
-    index raises.  Past PREFIX_WINDOW both fall back to the O(1) kernel.  Prefix and betas are immutable tuples published by one
-    assignment each, so they need no lock.
+    index raises.  Past PREFIX_WINDOW both fall back to the O(1) kernel.
+
+    Prefix and betas are immutable tuples published by one assignment each,
+    so they need no lock.
 
     gammas, log_gammas, weights and betas read every n < count in one pass, bit
     for bit equal to the per-index reads, which serve random access; past the
-    window they evaluate each g_n once.
+    window they evaluate each g_n once, and columns reads all four from one
+    pass over g.
     """
 
     def __init__(self, triplet: ScalarTriplet, validation: Verdict | None = None):
@@ -492,13 +498,29 @@ class ShiftSequences:
 
     def betas(self, count: int) -> list[float]:
         """beta(n) for every n < count; past the window each index is checked alone, as in beta."""
+        return self._betas_of(self._gs(count + 2), count)
+
+    def _betas_of(self, g, count: int) -> list[float]:
+        """betas(count), given g = _gs(count + 2)."""
         inside = max(0, min(count, PREFIX_WINDOW - 2))
         betas = self._betas if inside <= len(self._betas) else self._grow_betas(inside - 1)
         out = [self._beta_at(n) if b is None else b for n, b in enumerate(betas[:inside])]
-        if count > inside:
-            g, defect, theta = self._gs(count + 2), self._defect, self.theta
-            out += [_checked_betas(n, defect, theta, g[n : n + 3])[0] for n in range(inside, count)]
+        defect, theta = self._defect, self.theta
+        out += [_checked_betas(n, defect, theta, g[n : n + 3])[0] for n in range(inside, count)]
         return out
+
+    def columns(self, count: int) -> tuple[list[float], list[float], list[float], list[float]]:
+        """(gammas, weights, betas, log_gammas) of count, from one read of g_0 .. g_count+1.
+
+        Bit for bit the four bulk reads, each g_n past the window evaluated
+        once.  The betas are read first: where g_n cancels to 0 they raise at
+        a lower index than the weights do.
+        """
+        g, theta = self._gs(count + 2), self.theta
+        betas = self._betas_of(g, count)
+        gammas = [_unscale(x, theta, n) for n, x in enumerate(g[:count])]
+        weights = [math.sqrt(theta * b / a) for a, b in zip(g[:count], g[1 : count + 1])]
+        return gammas, weights, betas, [self._log_gamma(n, x) for n, x in enumerate(g[:count])]
 
 
 def as_sequences(t: ScalarTriplet | ShiftSequences) -> ShiftSequences:

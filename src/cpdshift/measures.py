@@ -8,29 +8,26 @@ supported.  An empty atom list is the zero measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .qpoly import q_poly
+from .verdict import Record, _set
 
 # Points that collide within this relative distance after a pushforward are
 # merged into a single atom.
 MERGE_RTOL = 1e-12
 
 
-class ResolventIntegrals(NamedTuple):
-    """sum w/(x-1) and sum w/(x-1)^2 over the atoms.
+ResolventIntegrals = namedtuple("ResolventIntegrals", ("i1", "i2"))
+ResolventIntegrals.__doc__ = """sum w/(x-1) and sum w/(x-1)^2 over the atoms.
 
-    When an atom sits exactly at 1 the second integral is +inf and the first
-    is reported as NaN (undefined).
-    """
-
-    i1: float
-    i2: float
+When an atom sits exactly at 1 the second integral is +inf and the first
+is reported as NaN (undefined).
+"""
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(Record):
     """Finite positive measure given by (point, mass) atoms.
 
     Invariants: points are finite, nonnegative and strictly increasing; masses
@@ -40,11 +37,11 @@ class AtomicMeasure:
     equal to moment(n) and log_moment(n).
     """
 
-    atoms: tuple[tuple[float, float], ...] = ()
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
+    def __init__(self, atoms: tuple[tuple[float, float], ...] = ()):
         last = -math.inf
-        for i, (point, mass) in enumerate(self.atoms):
+        for i, (point, mass) in enumerate(atoms):
             if not math.isfinite(point) or point < 0.0:
                 raise ValueError(
                     f"atom {i}: point must be a finite nonnegative real, got {point!r}"
@@ -58,6 +55,7 @@ class AtomicMeasure:
                     f"atom {i}: points must be strictly increasing, got {point!r} after {last!r}"
                 )
             last = point
+        _set(self, "atoms", atoms)
 
     # -- constructors ------------------------------------------------------
 

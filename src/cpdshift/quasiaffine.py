@@ -18,7 +18,7 @@ a finite truncation, accepts one.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import ScalarTriplet, ShiftSequences, as_sequences, gamma_growth_class
 from .measures import AtomicMeasure

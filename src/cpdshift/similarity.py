@@ -13,7 +13,6 @@ dichotomy and the necessary conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     ROUNDING,
@@ -25,7 +24,7 @@ from .core import (
     limit_coefficients,
 )
 from .measures import AtomicMeasure
-from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
+from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Record, Verdict, _set
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
 ENDPOINT_ATOM_TAG = "endpoint-atom"
@@ -390,12 +389,14 @@ def example_t0() -> float:
     return (math.sqrt(10.0) - 2.0) / 3.0
 
 
-@dataclass(frozen=True)
-class ModelShift:
+class ModelShift(Record):
     """Subnormal model shift of a type-III input, given by its Berger measure."""
 
-    mu0: AtomicMeasure
-    berger: AtomicMeasure
+    __slots__ = ("mu0", "berger")
+
+    def __init__(self, mu0: AtomicMeasure, berger: AtomicMeasure):
+        _set(self, "mu0", mu0)
+        _set(self, "berger", berger)
 
     def moment(self, n: int) -> float:
         return self.berger.moment(n)

@@ -11,7 +11,6 @@ that never consults the resolvent test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     ScalarTriplet,
@@ -20,7 +19,7 @@ from .core import (
     classify_type,
 )
 from .measures import AtomicMeasure
-from .verdict import INCONCLUSIVE, NO, YES, Verdict
+from .verdict import INCONCLUSIVE, NO, YES, Record, Verdict, _set
 
 SUBNORMAL_TAG = "resolvent-criterion"
 HANKEL_TAG = "stieltjes-hankel-psd"
@@ -121,12 +120,14 @@ def hankel_psd_oracle(moments, order: int = 8, tol: float = 1e-8) -> Verdict:
     return Verdict(outcome, "hankel_psd_oracle", HANKEL_TAG, witness)
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    id: str
-    passed: bool
-    witness_index: int | None = None
-    detail: str = ""
+class ConditionResult(Record):
+    __slots__ = ("id", "passed", "witness_index", "detail")
+
+    def __init__(self, id: str, passed: bool, witness_index: int | None = None, detail: str = ""):
+        _set(self, "id", id)
+        _set(self, "passed", passed)
+        _set(self, "witness_index", witness_index)
+        _set(self, "detail", detail)
 
     def to_json(self) -> dict:
         doc = {"id": self.id, "status": "pass" if self.passed else "fail"}
@@ -137,12 +138,20 @@ class ConditionResult:
         return doc
 
 
-@dataclass(frozen=True)
-class NecessaryReport:
-    applicable: bool
-    note: str = ""
-    conditions: tuple[ConditionResult, ...] = ()
-    checked_up_to: int = 0
+class NecessaryReport(Record):
+    __slots__ = ("applicable", "note", "conditions", "checked_up_to")
+
+    def __init__(
+        self,
+        applicable: bool,
+        note: str = "",
+        conditions: tuple[ConditionResult, ...] = (),
+        checked_up_to: int = 0,
+    ):
+        _set(self, "applicable", applicable)
+        _set(self, "note", note)
+        _set(self, "conditions", conditions)
+        _set(self, "checked_up_to", checked_up_to)
 
     @property
     def not_similar(self) -> bool:

@@ -5,28 +5,75 @@ produced it, the tag of the rule that certified the answer, and whatever
 certificate data the rule yields.  Sufficient criteria answer "yes" when their
 hypotheses hold; "no" means the hypotheses fail, not that the opposite
 property was certified, unless the rule itself is a characterization.
+
+Record is the immutable value base of every result and input class of the
+package.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 YES = "yes"
 NO = "no"
 INCONCLUSIVE = "inconclusive"
 
+# sets a field of a Record in its __init__, past the guard on assignment
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    criterion: str
-    citation: str
-    witness: dict = field(default_factory=dict)
-    note: str = ""
 
-    def __post_init__(self):
-        if self.outcome not in (YES, NO, INCONCLUSIVE):
-            raise ValueError(f"unknown outcome {self.outcome!r}")
+class Record:
+    """An immutable value made of the fields its subclass lists in __slots__.
+
+    Equality, hash and repr read the fields in __slots__ order, and so does
+    pickling, which passes them back to __init__ positionally.  Each subclass
+    sets its fields in __init__ with _set; assigning or deleting a field
+    afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Verdict(Record):
+    __slots__ = ("outcome", "criterion", "citation", "witness", "note")
+
+    def __init__(
+        self,
+        outcome: str,
+        criterion: str,
+        citation: str,
+        witness: dict | None = None,
+        note: str = "",
+    ):
+        if outcome not in (YES, NO, INCONCLUSIVE):
+            raise ValueError(f"unknown outcome {outcome!r}")
+        _set(self, "outcome", outcome)
+        _set(self, "criterion", criterion)
+        _set(self, "citation", citation)
+        _set(self, "witness", {} if witness is None else witness)
+        _set(self, "note", note)
 
     @property
     def is_yes(self) -> bool:

@@ -10,11 +10,11 @@ never of type III.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import ScalarTriplet, TypeLabel
 from .measures import AtomicMeasure, point_mass, zero_measure
 from .similarity import criterion_ineqsuf, example_t0
+from .verdict import Record, _set
 
 
 def wab_weights(a: float, b: float, n: int) -> float:
@@ -35,17 +35,30 @@ def wab_weight_list(a: float, b: float, count: int) -> list[float]:
     return [wab_weights(a, b, n) for n in range(count)]
 
 
-@dataclass(frozen=True)
-class WabClassification:
-    a: float
-    b: float
-    theta: float
-    cpd: bool
-    label: TypeLabel | None
-    subnormal: bool
-    berger: AtomicMeasure | None
-    norm: float
-    triplet: ScalarTriplet | None
+class WabClassification(Record):
+    __slots__ = ("a", "b", "theta", "cpd", "label", "subnormal", "berger", "norm", "triplet")
+
+    def __init__(
+        self,
+        a: float,
+        b: float,
+        theta: float,
+        cpd: bool,
+        label: TypeLabel | None,
+        subnormal: bool,
+        berger: AtomicMeasure | None,
+        norm: float,
+        triplet: ScalarTriplet | None,
+    ):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "theta", theta)
+        _set(self, "cpd", cpd)
+        _set(self, "label", label)
+        _set(self, "subnormal", subnormal)
+        _set(self, "berger", berger)
+        _set(self, "norm", norm)
+        _set(self, "triplet", triplet)
 
     def to_json(self) -> dict:
         return {
@@ -90,11 +103,13 @@ def wab_classify(a: float, b: float) -> WabClassification:
     return WabClassification(a, b, theta, True, label, subnormal, berger, norm, triplet)
 
 
-@dataclass(frozen=True)
-class GrowthFamilyExample:
-    triplet: ScalarTriplet
-    family: str
-    params: dict
+class GrowthFamilyExample(Record):
+    __slots__ = ("triplet", "family", "params")
+
+    def __init__(self, triplet: ScalarTriplet, family: str, params: dict):
+        _set(self, "triplet", triplet)
+        _set(self, "family", family)
+        _set(self, "params", params)
 
     def to_json(self) -> dict:
         doc = self.triplet.to_json()

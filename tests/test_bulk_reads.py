@@ -148,3 +148,32 @@ def test_corrupted_block_raises_at_the_same_index(index):
     assert len(ref[0]) <= index
     for count in (index - 8, index + 1, W + 2):
         assert_same(corrupted().betas, ref, count)
+
+
+def columns_reference(t, count):
+    """(betas, gammas, weights, log_gammas)(count) read one after another, or the first raise."""
+    s = ShiftSequences(t)
+    try:
+        betas = s.betas(count)
+        return (s.gammas(count), s.weights(count), betas, s.log_gammas(count)), None
+    except Exception as exc:  # the exception itself is compared
+        return None, exc
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(triplets())
+@example(trip(0.5, 1.0, [(19.0, 1e2), (20.0, 1e2)]))
+@example(trip(0.3, 0.2, [(0.4, 1.0), (1.00001, 1.0)]))
+@example(trip(-0.99, 0.0, [(0.01, 0.9801)]))
+def test_columns_match_the_bulk_reads(t):
+    for count in (0, 2, 68, W - 2, W + 3):
+        want, exc = columns_reference(t, count)
+        try:
+            got = ShiftSequences(t).columns(count)
+        except Exception as caught:  # the exception itself is compared
+            assert exc is not None, (count, caught)
+            assert type(caught) is type(exc) and str(caught) == str(exc), (count, caught, exc)
+            continue
+        assert exc is None, (count, exc)
+        for column, ref in zip(got, want):
+            assert array("d", column).tobytes() == array("d", ref).tobytes(), count

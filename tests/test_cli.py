@@ -226,6 +226,30 @@ class TestSeries:
         assert last[1] == "inf"
         assert float(last[4]) > 700
 
+    TWO_ATOMS = '{"b": 0.3, "c": 0.2, "nu": {"atoms": [[0.5, 0.4], [2.0, 1.0]]}}'
+    # sha256 of the output of `series TWO_ATOMS --n-max 5000` before the columns were
+    # read from one pass over g
+    DIGESTS = {
+        "--csv": "cfb4bfc91c4f0e8f67c5fef5782a25b472f0c85a76aa40a84e207711b58a30dc",
+        "--json": "b147d8ba02d2cd9828134fe543d97d0be3c49d9885b13734ff96cd4c578babf2",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DIGESTS))
+    def test_far_indices_evaluate_g_once(self, monkeypatch, capsys, fmt):
+        import hashlib
+
+        n_max = 5000
+        calls = []
+        far_g = core._far_g
+        monkeypatch.setattr(core, "_far_g", lambda t, n: calls.append(n) or far_g(t, n))
+        code, out = run(capsys, "series", self.TWO_ATOMS, "--n-max", str(n_max), fmt)
+        assert code == 0
+        # the rows read g_0 .. g_{n_max + 2}; validation reads two indices below the window
+        far = [n for n in calls if n >= core.PREFIX_WINDOW]
+        assert len(calls) - len(far) == 2
+        assert sorted(far) == list(range(core.PREFIX_WINDOW, n_max + 3))
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
+
 
 class TestExamples:
     def test_wab_round_trips_through_classify(self, capsys):
