@@ -16,7 +16,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, classify_type, validate_triplet
-from .quasiaffine import DEFAULT_N, intertwiner_defect, similarity_test
+from .quasiaffine import DEFAULT_N, INTERTWINER_RTOL, intertwiner_defect, similarity_test
 from .similarity import (
     MODEL_TAG,
     ModelDegenerateError,
@@ -300,7 +300,7 @@ def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[di
     report["intertwiner"] = {
         "defect": defect,
         "scale": scale,
-        "within_tolerance": defect <= 1e-12 * scale,
+        "within_tolerance": defect <= INTERTWINER_RTOL * scale,
     }
     report["verdict"] = "Similar" if sim.is_yes else "NotSimilar"
     report["citation"] = sim.citation
@@ -435,51 +435,58 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
     try:
-        if args.cmd in ("classify", "subnormal", "similar", "model"):
-            if getattr(args, "batch", None):
-                return _run_batch(args)
-            if not args.spec:
-                raise InputError("a triplet spec (or --batch FILE) is required")
-            report, code = _single_spec_command(args)
-            _print_report(report)
-            return code
-
-        if args.cmd == "compare":
-            ta = load_triplet(args.spec_a)
-            tb = load_triplet(args.spec_b)
-            report, code = compare_report(ta, tb, DEFAULT_N)
-            _print_report(report)
-            return code
-
-        if args.cmd == "series":
-            t = load_triplet(args.spec)
-            v = validate_triplet(t)
-            if v.is_no:
-                raise InputError(f"triplet is not a valid shift generator: {v.outcome}")
-            if v.is_inconclusive:
-                print(f"inconclusive: {v.note or 'validation undecided'}", file=sys.stderr)
-                return EXIT_INCONCLUSIVE
-            rows = list(series_rows(ShiftSequences(t, validation=v), args.n_max))
-            if args.fmt == "csv":
-                print("n,gamma,lambda,beta,log_gamma")
-                for r in rows:
-                    cells = [str(r["n"])] + [
-                        _fmt(r[k]) if math.isfinite(r[k]) else "inf"
-                        for k in ("gamma", "lambda", "beta", "log_gamma")
-                    ]
-                    print(",".join(cells))
-            else:
-                print(dumps(rows, indent=2))
-            return EXIT_DECIDED
-
-        if args.cmd == "examples":
-            return _run_examples(args)
-    except InputError as exc:
+        code = _run_command(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit then writes what is left to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+
+
+def _run_command(args) -> int:
+    if args.cmd in ("classify", "subnormal", "similar", "model"):
+        if getattr(args, "batch", None):
+            return _run_batch(args)
+        if not args.spec:
+            raise InputError("a triplet spec (or --batch FILE) is required")
+        report, code = _single_spec_command(args)
+        _print_report(report)
+        return code
+
+    if args.cmd == "compare":
+        ta = load_triplet(args.spec_a)
+        tb = load_triplet(args.spec_b)
+        report, code = compare_report(ta, tb, DEFAULT_N)
+        _print_report(report)
+        return code
+
+    if args.cmd == "series":
+        t = load_triplet(args.spec)
+        v = validate_triplet(t)
+        if v.is_no:
+            raise InputError(f"triplet is not a valid shift generator: {v.outcome}")
+        if v.is_inconclusive:
+            print(f"inconclusive: {v.note or 'validation undecided'}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+        rows = list(series_rows(ShiftSequences(t, validation=v), args.n_max))
+        if args.fmt == "csv":
+            print("n,gamma,lambda,beta,log_gamma")
+            for r in rows:
+                cells = [str(r["n"])] + [
+                    _fmt(r[k]) if math.isfinite(r[k]) else "inf"
+                    for k in ("gamma", "lambda", "beta", "log_gamma")
+                ]
+                print(",".join(cells))
+        else:
+            print(dumps(rows, indent=2))
+        return EXIT_DECIDED
+
+    if args.cmd == "examples":
+        return _run_examples(args)
     raise AssertionError(args.cmd)
 
 

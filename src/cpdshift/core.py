@@ -14,10 +14,10 @@ theta = max(1, top atom of nu), which stays in the double range at every n:
 lambda_n^2 = theta g_{n+1} / g_n, log gamma_n = n log theta + log g_n, and
 beta_n = (sum w (x/theta)^n + 2c theta^-n) / g_n.
 
-ShiftSequences keeps g_n for n < PREFIX_WINDOW in a prefix and derives log
-gamma_n from it on read.  It builds beta_n in blocks from that prefix, checking
-the closed form against the weight route at every index; past the window both
-fall back to the O(1) kernel, one index at a time.
+ShiftSequences keeps g_n for n < PREFIX_WINDOW in a prefix, its only cache, and
+derives log gamma_n and beta_n from it on read; past the window g_n comes from
+the O(1) kernel, one index at a time.  Every beta read checks the closed form
+against the weight route at each index it returns.
 
 Each per-index read has a bulk read (gammas, log_gammas, weights, betas) that
 returns every n < count in one pass with the same float operations: the same
@@ -34,9 +34,9 @@ from .measures import AtomicMeasure
 from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Record, Verdict, _set
 
-# g_n is kept for n < PREFIX_WINDOW and beta_n for n + 2 < PREFIX_WINDOW, so long
-# scans hold no more memory; blocks end at FIRST_BLOCK 2^k: 68 holds the 65-term
-# beta witness prefix of `similar` and the 66 gamma values its reports read.
+# g_n is kept for n < PREFIX_WINDOW, so long scans hold no more memory; blocks end
+# at FIRST_BLOCK 2^k: 68 holds g_0 .. g_66, all that the 65 witness betas
+# of `similar` and the 66 gamma values its reports read.
 PREFIX_WINDOW = 4096
 FIRST_BLOCK = 34
 
@@ -326,12 +326,19 @@ def _checked_betas(start: int, defect, theta: float, g) -> list[float]:
     Returns the closed form sum w r^n / g_n over defect = ((x/theta, w), ...),
     checked at every index against the weight route 1 - 2 lambda_n^2 +
     lambda_n^2 lambda_{n+1}^2: disagreement beyond BETA_AGREEMENT_RTOL is an
-    implementation bug and raises rather than averaging.
+    implementation bug and raises rather than averaging.  Where several
+    indices fail, the first raises what it raises when read by itself.
     """
     ns = range(start, start + len(g) - 2)
-    rows = zip(*([w * r**n for n in ns] for r, w in defect)) if defect else [()] * len(ns)
-    closed = [math.fsum(row) / g0 for row, g0 in zip(rows, g)]
-    sq = [theta * b / a for a, b in zip(g, g[1:])]
+    try:
+        rows = zip(*([w * r**n for n in ns] for r, w in defect)) if defect else [()] * len(ns)
+        closed = [math.fsum(row) / g0 for row, g0 in zip(rows, g)]
+        sq = [theta * b / a for a, b in zip(g, g[1:])]
+    except ArithmeticError:  # possibly at a later index than a mismatch: check one at a time
+        if len(ns) > 1:
+            for i in range(len(ns)):
+                _checked_betas(start + i, defect, theta, g[i : i + 3])
+        raise
     rtol = BETA_AGREEMENT_RTOL
     for n, c, a, b in zip(ns, closed, sq, sq[1:]):
         direct, size = 1.0 - 2.0 * a + a * b, abs(c)
@@ -346,21 +353,18 @@ class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
 
     The single per-triplet owner of the validation verdict, of the scaled prefix
-    g_n, of the defects beta_n and of the defect measure nu + 2c at 1: criteria,
-    moment sources and reports take one instance in place of the triplet
-    instead of evaluating again.
+    g_n and of the defect measure nu + 2c at 1: criteria and reports take one
+    instance in place of the triplet instead of evaluating again.
 
     The prefix holds g_n only; log gamma_n = n log theta + log g_n is derived
     on read.  Each prefix block seeds Q_n(x) theta^-n per atom from
     q_poly_scaled and steps it with S_{m+1} = (x/theta) S_m + m theta^-(m+1),
-    so values do not depend on the order of reads.  beta_n is built in blocks
-    from the prefix and the rounded ratios x/theta of the defect atoms, each
-    index checked against the weight route; a block that fails is kept empty,
-    and its indices are computed one at a time when read, so only a failing
-    index raises.  Past PREFIX_WINDOW both fall back to the O(1) kernel.
+    so values do not depend on the order of reads.  Past PREFIX_WINDOW g_n
+    comes from the O(1) kernel.  The prefix is an immutable tuple published by
+    one assignment, so it needs no lock.
 
-    Prefix and betas are immutable tuples published by one assignment each,
-    so they need no lock.
+    beta_n is computed on each read from g_n, g_n+1, g_n+2 and the rounded
+    ratios x/theta of the defect atoms, and checked against the weight route.
 
     gammas, log_gammas, weights and betas read every n < count in one pass, bit
     for bit equal to the per-index reads, which serve random access; past the
@@ -381,7 +385,6 @@ class ShiftSequences:
         self.log_theta = math.log1p(self.theta - 1.0)
         self._defect = tuple((p / self.theta, w) for p, w in self.defect_measure.atoms)
         self._prefix: tuple[float, ...] = ()
-        self._betas: tuple[float | None, ...] = ()
 
     def _g(self, n: int) -> float:
         """g_n: past the window from the kernel, else from the prefix."""
@@ -433,27 +436,6 @@ class ShiftSequences:
         g, theta = self._gs(hi + 2), self.theta
         return [theta * b / a for a, b in zip(g[lo:], g[lo + 1 :])]
 
-    def _grow_betas(self, n: int) -> tuple[float | None, ...]:
-        """The published betas, first extended to every index the prefix past n + 2 covers.
-
-        A block that fails anywhere is kept empty, so that each of its indices
-        is computed, and fails, by itself when it is read.
-        """
-        betas = self._betas
-        prefix = self._prefix if n + 2 < len(self._prefix) else self._grow(n + 2)
-        start = len(betas)
-        try:
-            block = _checked_betas(start, self._defect, self.theta, prefix[start:])
-        except ArithmeticError:
-            block = [None] * (len(prefix) - 2 - start)
-        self._betas = betas = betas + tuple(block)
-        return betas
-
-    def _beta_at(self, n: int) -> float:
-        """beta_n by itself: past the window, and in a block that failed."""
-        g = (self._g(n), self._g(n + 1), self._g(n + 2))
-        return _checked_betas(n, self._defect, self.theta, g)[0]
-
     def gamma(self, n: int) -> float:
         """gamma_n in double precision; +inf when it overflows the double range."""
         return _unscale(self._g(n), self.theta, n)
@@ -488,26 +470,12 @@ class ShiftSequences:
         The closed form is returned; disagreement beyond BETA_AGREEMENT_RTOL
         signals an implementation bug and raises rather than averaging.
         """
-        betas = self._betas
-        if not 0 <= n < len(betas):
-            if n < 0 or n + 2 >= PREFIX_WINDOW:
-                return self._beta_at(n)
-            betas = self._grow_betas(n)
-        b = betas[n]
-        return self._beta_at(n) if b is None else b
+        g = (self._g(n), self._g(n + 1), self._g(n + 2))
+        return _checked_betas(n, self._defect, self.theta, g)[0]
 
     def betas(self, count: int) -> list[float]:
-        """beta(n) for every n < count; past the window each index is checked alone, as in beta."""
-        return self._betas_of(self._gs(count + 2), count)
-
-    def _betas_of(self, g, count: int) -> list[float]:
-        """betas(count), given g = _gs(count + 2)."""
-        inside = max(0, min(count, PREFIX_WINDOW - 2))
-        betas = self._betas if inside <= len(self._betas) else self._grow_betas(inside - 1)
-        out = [self._beta_at(n) if b is None else b for n, b in enumerate(betas[:inside])]
-        defect, theta = self._defect, self.theta
-        out += [_checked_betas(n, defect, theta, g[n : n + 3])[0] for n in range(inside, count)]
-        return out
+        """beta(n) for every n < count, checked in one pass over g_0 .. g_count+1."""
+        return _checked_betas(0, self._defect, self.theta, self._gs(count + 2))
 
     def columns(self, count: int) -> tuple[list[float], list[float], list[float], list[float]]:
         """(gammas, weights, betas, log_gammas) of count, from one read of g_0 .. g_count+1.
@@ -517,7 +485,7 @@ class ShiftSequences:
         a lower index than the weights do.
         """
         g, theta = self._gs(count + 2), self.theta
-        betas = self._betas_of(g, count)
+        betas = _checked_betas(0, self._defect, theta, g)
         gammas = [_unscale(x, theta, n) for n, x in enumerate(g[:count])]
         weights = [math.sqrt(theta * b / a) for a, b in zip(g[:count], g[1 : count + 1])]
         return gammas, weights, betas, [self._log_gamma(n, x) for n, x in enumerate(g[:count])]

@@ -31,6 +31,9 @@ ALEVY_TAG = "unbounded-moments-vs-contractive"
 
 DEFAULT_N = 512
 
+# the intertwining identity holds when its defect is at most this times its scale
+INTERTWINER_RTOL = 1e-12
+
 
 def _require_positive_moments(m: AtomicMeasure) -> None:
     if m.is_zero or m.support_max() == 0.0:
@@ -131,7 +134,7 @@ def intertwiner_defect(lam_hat, om_hat, m: int = 32):
     return defect, scale
 
 
-def intertwiner_check(lam_hat, om_hat, m: int = 32, rtol: float = 1e-12) -> bool:
+def intertwiner_check(lam_hat, om_hat, m: int = 32, rtol: float = INTERTWINER_RTOL) -> bool:
     """The diagonal sqrt-moment-ratio operator intertwines the two shifts."""
     defect, scale = intertwiner_defect(lam_hat, om_hat, m)
     return defect <= rtol * scale

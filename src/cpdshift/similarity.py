@@ -24,6 +24,7 @@ from .core import (
     limit_coefficients,
 )
 from .measures import AtomicMeasure
+from .subnormality import B_MATCH_ATOL
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Record, Verdict, _set
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
@@ -175,7 +176,7 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
     i2_below = math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p < 1.0)
     flags = {
         "a-resolvent-gap": bool(1.0 - i2_above < i2_below),
-        "b-mismatch": bool(abs(t.b - i1) > 1e-12),
+        "b-mismatch": bool(abs(t.b - i1) > B_MATCH_ATOL),
         "c-positive": bool(t.c > 0.0),
     }
     witness = {

@@ -21,10 +21,9 @@ MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
 # the prefix the 65 witness betas (g_n to n = 66) and the 66 gammas of the
 # necessary conditions need: two blocks
 MAX_PREFIX = 2 * core.FIRST_BLOCK
-# beta blocks check every index of each prefix but its last two, and an index
-# in a block that failed is checked again on each read: the witness betas, the
+# every read checks the betas it returns and no others: the witness betas, the
 # model identity check and beta_1 for each type check
-MAX_CHECKED = 2 * (MAX_PREFIX - 2) + (WITNESS_N + 1) + (N_MODEL + 1) + 2
+MAX_CHECKED = (WITNESS_N + 1) + (N_MODEL + 1) + 2
 
 atoms = st.lists(
     st.tuples(

@@ -49,6 +49,12 @@ SUBN = '{"b": 0.3333333333333333, "c": 0.0, "nu": {"atoms": [[4.0, 1.0]]}}'
 LATE = '{"b": -1e-7, "c": 0, "nu": {"atoms": [[1.000001, 1e-14]]}}'
 
 
+def subprocess_env() -> dict:
+    """The environment of a child process that imports this cpdshift."""
+    src = str(Path(cpdshift.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -295,6 +301,32 @@ class TestBatch:
         assert "error" in docs[1]
 
 
+class TestClosedPipe:
+    """A reader that stops early, as `| head -n 1` does, gets exit 1 and nothing on stderr."""
+
+    @pytest.mark.parametrize("command", ("series", "batch"))
+    def test_quiet_exit(self, tmp_path, command):
+        # both print far more than a pipe holds, so the run is still writing at the close
+        batch = tmp_path / "specs.jsonl"
+        batch.write_text((ATOM2 + "\n") * 100)
+        argv = {
+            "series": ["series", ATOM2, "--n-max", "5000"],
+            "batch": ["similar", "--batch", str(batch)],
+        }[command]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cpdshift.cli", *argv],
+            env=subprocess_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
 class TestFloatFormatting:
     def test_17_digit_round_trip(self, capsys):
         spec = '{"b": 0.1, "c": 0.0, "nu": {"atoms": [[2.0, 0.3]]}}'
@@ -467,10 +499,12 @@ class TestSharedSequences:
     def _imports_numpy(calls: str) -> bool:
         """Whether a fresh process that makes the given main() calls loads numpy."""
         code = f"import sys; from cpdshift.cli import main; {calls}; print('numpy' in sys.modules)"
-        src = str(Path(cpdshift.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            check=True,
         )
         return proc.stdout.splitlines()[-1] == "True"
 

@@ -21,6 +21,7 @@ from cpdshift import (
     wab_classify,
 )
 from cpdshift.cli import similar_report
+from cpdshift.similarity import WITNESS_N
 
 
 def trip(b, c, atoms=()):
@@ -80,8 +81,8 @@ class TestTailFloor:
 
         monkeypatch.setattr(core, "_checked_betas", counting)
         v = similar_by_beta(s)
-        # the 65 witness betas, in blocks that end with the prefix of g_0 .. g_67
-        assert max(checked) <= 65 and len(checked) <= 66
+        # the 65 witness betas and no others
+        assert checked == list(range(WITNESS_N + 1))
         assert v.is_yes
         assert v.witness["tail_from"] == 65
 
