@@ -202,10 +202,11 @@ def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[d
     return report, EXIT_DECIDED if not sub.is_inconclusive else EXIT_INCONCLUSIVE
 
 
-def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
+def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, int]:
     """Type, subnormality, necessary conditions and similarity criteria of t.
 
-    n_max ends the weight-band window; the defect floor needs no window.
+    n_max is unused: every criterion decides the indices past its read prefix
+    in closed form.
     """
     report, seqs, code = _validated_header(t, "similar")
     if seqs is None:
@@ -229,7 +230,7 @@ def similar_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
             criteria["criterion_nyttrs"] = criterion_nyttrs(seqs)
         except NotApplicableError as exc:
             criteria["criterion_nyttrs"] = {"skipped": str(exc)}
-        criteria["criterion_weight_band"] = criterion_weight_band(seqs, n_hi=n_max)
+        criteria["criterion_weight_band"] = criterion_weight_band(seqs)
         criteria["criterion_ineqsuf"] = criterion_ineqsuf(seqs)
         report["criteria"] = criteria
 
@@ -333,6 +334,23 @@ _order = _checked(int, lambda n: n >= 0, "nonnegative")
 _tolerance = _checked(float, lambda x: 0.0 < x < math.inf, "finite and positive")
 
 
+# each single-spec command: its report function and the flags that function
+# reads, as (parameter, type, default) in the order it takes them
+REPORTS = {
+    "classify": (classify_report, (("n_max", _count, 64),)),
+    "subnormal": (subnormal_report, (("hankel_order", _order, 8), ("tol", _tolerance, 1e-8))),
+    "similar": (similar_report, ()),
+    "model": (model_report, (("n_max", _count, 32),)),
+}
+
+# each examples case: the generate_3uwre keywords its generator reads, one flag each
+CASES = {
+    1: ("b", "c", "alpha", "point"),
+    2: ("b", "c", "t", "alpha", "point"),
+    3: ("tau", "t", "theta", "alpha", "with_positive_c"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpdshift",
@@ -340,17 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    # each subcommand gets only the flags its report reads
-    n_max_default = {"classify": 64, "similar": 512, "model": 32}
-    for name in ("classify", "subnormal", "similar", "model"):
+    for name, (_, flags) in REPORTS.items():
         p = sub.add_parser(name)
         p.add_argument("spec", nargs="?", help="triplet JSON, file path, or -")
         p.add_argument("--batch", metavar="FILE", help="JSON-lines file of triplet specs")
-        if name == "subnormal":
-            p.add_argument("--tol", type=_tolerance, default=1e-8)
-            p.add_argument("--hankel-order", type=_order, default=8)
-        else:
-            p.add_argument("--n-max", type=_count, default=n_max_default[name])
+        for key, kind, default in flags:
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=default)
 
     p = sub.add_parser("compare")
     p.add_argument("spec_a")
@@ -369,31 +382,22 @@ def build_parser() -> argparse.ArgumentParser:
     pw = ex_sub.add_parser("wab")
     pw.add_argument("--a", type=float, required=True)
     pw.add_argument("--b", type=float, required=True)
-    for case in ("case1", "case2", "case3"):
-        pc = ex_sub.add_parser(case)
-        pc.add_argument("--b", type=float, default=0.0)
-        pc.add_argument("--c", type=float, default=0.0)
-        pc.add_argument("--t", type=float, default=None)
-        pc.add_argument("--alpha", type=float, default=None)
-        pc.add_argument("--point", type=float, default=None)
-        if case == "case3":
-            pc.add_argument("--tau", type=float, default=None)
-            pc.add_argument("--theta", type=float, default=None)
-            pc.add_argument("--positive-c", action="store_true")
+    for case, keywords in CASES.items():
+        # a flag left out is absent from the namespace, so generate_3uwre's default holds
+        pc = ex_sub.add_parser(f"case{case}", argument_default=argparse.SUPPRESS)
+        pc.set_defaults(case=case)
+        for key in keywords:
+            if key == "with_positive_c":
+                pc.add_argument("--positive-c", dest=key, action="store_true")
+            else:
+                pc.add_argument("--" + key, type=float)
     return parser
 
 
-def _single_spec_command(args) -> tuple:
-    t = load_triplet(args.spec)
-    if args.cmd == "classify":
-        return classify_report(t, args.n_max)
-    if args.cmd == "subnormal":
-        return subnormal_report(t, args.hankel_order, args.tol)
-    if args.cmd == "similar":
-        return similar_report(t, args.n_max)
-    if args.cmd == "model":
-        return model_report(t, args.n_max)
-    raise AssertionError(args.cmd)
+def _report(args, spec: str) -> tuple[dict, int]:
+    """The report and exit code of the single-spec command args.cmd on spec."""
+    build, flags = REPORTS[args.cmd]
+    return build(load_triplet(spec), *(getattr(args, key) for key, _, _ in flags))
 
 
 def _run_batch(args) -> int:
@@ -405,10 +409,8 @@ def _run_batch(args) -> int:
         print(f"error: cannot read batch file: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     for i, line in enumerate(lines):
-        entry_args = argparse.Namespace(**vars(args))
-        entry_args.spec = line.strip()
         try:
-            report, code = _single_spec_command(entry_args)
+            report, code = _report(args, line.strip())
             report["batch_index"] = i
             print(dumps(report))
         except InputError as exc:
@@ -448,12 +450,12 @@ def main(argv=None) -> int:
 
 
 def _run_command(args) -> int:
-    if args.cmd in ("classify", "subnormal", "similar", "model"):
-        if getattr(args, "batch", None):
+    if args.cmd in REPORTS:
+        if args.batch:
             return _run_batch(args)
         if not args.spec:
             raise InputError("a triplet spec (or --batch FILE) is required")
-        report, code = _single_spec_command(args)
+        report, code = _report(args, args.spec)
         _print_report(report)
         return code
 
@@ -505,22 +507,8 @@ def _run_examples(args) -> int:
         doc["meta"] = {"family": "wab", "classification": cl.to_json()}
         print(dumps(doc, indent=2))
         return EXIT_DECIDED
-    case = {"case1": 1, "case2": 2, "case3": 3}[args.example_kind]
-    if case == 1:
-        example = generate_3uwre(1, b=args.b, c=args.c, alpha=args.alpha, point=args.point)
-    elif case == 2:
-        example = generate_3uwre(
-            2, b=args.b, c=args.c, t=args.t, alpha=args.alpha, point=args.point
-        )
-    else:
-        example = generate_3uwre(
-            3,
-            tau=args.tau,
-            t=args.t,
-            theta=args.theta,
-            alpha=args.alpha,
-            with_positive_c=args.positive_c,
-        )
+    given = {key: value for key, value in vars(args).items() if key in CASES[args.case]}
+    example = generate_3uwre(args.case, **given)
     print(dumps(example.to_json(), indent=2))
     return EXIT_DECIDED
 

@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from .core import ScalarTriplet, ShiftSequences, as_sequences, gamma_growth_class
 from .measures import AtomicMeasure
 from .similarity import ModelShift
+from .subnormality import is_subnormal
 from .verdict import NO, YES, Verdict
 
 GROWTH_TAG = "moment-growth-class"
@@ -152,8 +153,6 @@ def alevy_scenario(
     opposite ratio decays geometrically.  The report certifies moment growth
     via convexity and records where each ratio drops below 1e-6.
     """
-    from .subnormality import is_subnormal  # local import avoids a cycle
-
     seqs = as_sequences(t)
     t = seqs.triplet
     if is_subnormal(seqs).is_yes:

@@ -8,6 +8,10 @@ makes equivalent to similarity to the model shift, so its "no" (a defect
 sequence that vanishes or tends to 0) is a negative certificate for that
 model.  The other negative certificates live elsewhere: the type I/II
 dichotomy and the necessary conditions.
+
+Changing finitely many weights gives a similar shift, so no criterion takes
+a window: each reads n <= WITNESS_N and decides every later index in closed
+form.
 """
 
 from __future__ import annotations
@@ -204,37 +208,33 @@ def criterion_nyttrs(t: ScalarTriplet | ShiftSequences) -> Verdict:
     return Verdict(YES if limit > 0.0 else NO, "criterion_nyttrs", ENDPOINT_LIMINF_TAG, witness)
 
 
-def criterion_weight_band(
-    t: ScalarTriplet | ShiftSequences, n_lo: int = 32, n_hi: int = 512
-) -> Verdict:
-    """Squared-weight band test on the window [n_lo, n_hi].
+def criterion_weight_band(t: ScalarTriplet | ShiftSequences, n_lo: int = 32) -> Verdict:
+    """Squared-weight band test on every n >= n_lo.
 
     Fits either (tau, M) with 1 + tau <= lambda_n^2 <= 1 + M, tau in (0, 1)
     and (1 - tau)(1 + M) < 1, or tau >= 1 with 1 + tau <= lambda_n^2, to the
-    band of lambda_n^2 over the whole window.  The band is read at
-    n <= WITNESS_N; past it lambda_n^2 = theta g_{n+1} / g_n lies in
+    band of lambda_n^2 over n >= n_lo.  The band is read at n <= WITNESS_N;
+    past it lambda_n^2 = theta g_{n+1} / g_n lies in
     [theta (1-E)/(1+E), theta (1+E)/(1-E)] with E from _weight_tail_error.
     Without an atom theta > 1, or with E >= 1, that tail is unbounded and the
-    answer inconclusive.  An n_hi below n_lo shrinks the window to [n_hi, n_hi].
+    answer inconclusive.  Similarity depends only on the tail of the
+    weights, so the band covers every n >= n_lo and has no upper end.
     """
     s = as_sequences(t)
-    n_lo = min(n_lo, n_hi)
     lo, hi = math.inf, -math.inf
     if n_lo <= WITNESS_N:
         # lambda_n^2 = sqrt(x)^2 for the prefix ratio x; sqrt and squaring are
         # monotone, so the band ends are those of the ratios, squared back the same way
-        ratios = s._weight_squares(n_lo, min(n_hi, WITNESS_N))
+        ratios = s._weight_squares(n_lo, WITNESS_N)
         lo, hi = math.sqrt(min(ratios)) ** 2, math.sqrt(max(ratios)) ** 2
-    witness = {"n_lo": n_lo, "n_hi": n_hi}
-    if n_hi > WITNESS_N:
-        theta = s.triplet.nu.support_max()
-        err = _weight_tail_error(s.triplet, WITNESS_N + 1) if theta > 1.0 else math.inf
-        if err < 1.0:
-            lo = min(lo, theta * (1.0 - err) / (1.0 + err))
-            hi = max(hi, theta * (1.0 + err) / (1.0 - err))
-        else:
-            lo, hi = 0.0, math.inf
-        witness.update({"tail_from": WITNESS_N + 1, "tail_error": err})
+    theta = s.triplet.nu.support_max()
+    err = _weight_tail_error(s.triplet, WITNESS_N + 1) if theta > 1.0 else math.inf
+    if err < 1.0:
+        lo = min(lo, theta * (1.0 - err) / (1.0 + err))
+        hi = max(hi, theta * (1.0 + err) / (1.0 - err))
+    else:
+        lo, hi = 0.0, math.inf
+    witness = {"n_lo": n_lo, "tail_from": WITNESS_N + 1, "tail_error": err}
     witness.update({"band_min": lo, "band_max": hi})
 
     if lo >= 2.0:

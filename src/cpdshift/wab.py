@@ -258,7 +258,7 @@ def _case_three(tau, t, theta, alpha, with_positive_c) -> GrowthFamilyExample:
     b = tau
     c = 0.0
     if with_positive_c:
-        c = _bisect_positive_c(b, tau, t, theta, alpha)
+        c = _positive_c(b, tau, t, theta, alpha)
     triplet = ScalarTriplet(b, c, point_mass(theta, alpha))
     return GrowthFamilyExample(
         triplet,
@@ -267,8 +267,13 @@ def _case_three(tau, t, theta, alpha, with_positive_c) -> GrowthFamilyExample:
     )
 
 
-def _bisect_positive_c(b, tau, t, theta, alpha) -> float:
-    """Largest-c/2 keeping the five strict inequalities of the c > 0 variant."""
+def _positive_c(b, tau, t, theta, alpha) -> float:
+    """Half the supremum of the c keeping the five strict inequalities of the c > 0 variant.
+
+    Three of them bound c above, by theta - 1 - b, alpha t / (2 tau) and
+    ((theta - 1) b - alpha) / 2; the other two hold for every c >= 0 once
+    they hold at c = 0.
+    """
 
     def feasible(c):
         return (
@@ -281,20 +286,7 @@ def _bisect_positive_c(b, tau, t, theta, alpha) -> float:
 
     if not feasible(0.0):
         raise ValueError("base case (c = 0) infeasible; cannot push c positive")
-    hi = 1.0
-    for _ in range(60):
-        if not feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("feasible c appears unbounded")
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
+    c = min(theta - 1.0 - b, alpha * t / (2.0 * tau), ((theta - 1.0) * b - alpha) / 2.0) / 2.0
+    if not (c > 0.0 and feasible(c)):
         raise ValueError("no positive c keeps the strict inequalities")
-    return lo / 2.0
+    return c

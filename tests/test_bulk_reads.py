@@ -133,8 +133,9 @@ def test_bulk_reads_match_the_index_reads(t):
 
 @pytest.mark.parametrize("index", (40, 300, W - 3))
 def test_corrupted_block_raises_at_the_same_index(index):
-    # as in TestBetaNearOne.test_check_fires_in_the_block: a g value off by 1e-6
-    # fails the beta block, whose indices are then computed one at a time
+    # as in TestBetaNearOne.test_check_fires_at_the_corrupted_index: a g value off
+    # by 1e-6 fails the check of a beta that reads it, and the bulk read raises at the
+    # first such index, as the per-index reads do
     t = trip(0.3, 0.2, [(0.4, 1.0), (1.00001, 1.0)])
 
     def corrupted():

@@ -132,12 +132,6 @@ class TestSimilar:
         assert code == 0
         assert doc["verdict"] == "NotSimilar"
 
-    def test_short_window(self, capsys):
-        # the weight band window [32, n_max] shrinks to [n_max, n_max]
-        code, doc = run_json(capsys, "similar", ATOM2, "--n-max", "10")
-        assert code == 0 and doc["verdict"] == "Similar"
-        assert doc["criteria"]["criterion_weight_band"]["witnesses"]["n_lo"] == 10
-
     def test_near_miss_is_inconclusive(self, capsys):
         # b misses the resolvent sum by 1e-9 (near-miss band) and the diagonal
         # sums stay negative past k = 64: nothing can decide
@@ -275,6 +269,27 @@ class TestExamples:
             code2, doc2 = run_json(capsys, "classify", json.dumps(doc))
             assert code2 == 0 and doc2["valid"]["outcome"] == "yes"
 
+    @pytest.mark.parametrize(
+        "argv,triplet,params",
+        [
+            ("case1 --b 2 --c 0.5 --alpha 3 --point 4", (2, 0.5), {"alpha": 3, "point": 4}),
+            (
+                "case2 --b 0.2 --c 0.1 --t 0.3 --alpha 5 --point 3",
+                (0.2, 0.1),
+                {"t": 0.3, "alpha": 5, "point": 3},
+            ),
+            (
+                "case3 --tau 0.9 --t 1.5 --theta 6 --alpha 4",
+                (0.9, 0),
+                {"tau": 0.9, "t": 1.5, "theta": 6, "alpha": 4, "c": 0},
+            ),
+        ],
+    )
+    def test_case_flags_reach_the_generator(self, capsys, argv, triplet, params):
+        code, doc = run_json(capsys, "examples", *argv.split())
+        assert code == 0
+        assert (doc["b"], doc["c"]) == triplet and doc["meta"]["params"] == params
+
     def test_non_cpd_parameters_rejected(self, capsys):
         assert main(["examples", "wab", "--a", "2.0", "--b", "1.0"]) == 1
 
@@ -354,24 +369,24 @@ class TestGoldenBytes:
     NEAR_ONE = '{"b": 0.5, "c": 0.0, "nu": {"atoms": [[0.5, 1.0], [1.00019, 1.0]]}}'
     SPECS = {"readme": ATOM2, "mixed": MIXED, "near_one": NEAR_ONE}
     DIGESTS = {
-        ("similar", "readme", 0): "b0f2432ef12ded525a719567d9def2509594247deace5d5289715d9bfbd9b0cc",
-        ("similar", "readme", 2): "1dfe1f99e6d6e4140615240a9af94ceffaa0501d22592808fe833c3bd9335c92",
+        ("similar", "readme", 0): "a1630c84d09c2583735098ade9258ff6e0ce7af03f08767c6938a97ad1df0d63",
+        ("similar", "readme", 2): "7ff8dfca91d43950fbcb35d759fd0a3e3ca1dbd16ff3cadefe2278c6e82e6cbd",
         ("model", "readme", 0): "b94d9d0a30a4a9b13a183e38ab117a1ca5d6968ecd4403c0b40b0b5122b0696f",
         ("model", "readme", 2): "5f3318e44ceffd27234f9870a73972fd76b43e95b03ea1a03947d63424bb02ae",
         ("classify", "readme", 0): "5cc958ae2e9cc629918e0c414edb2fba65ddef586da006390e4356613cef3a9d",
         ("classify", "readme", 2): "8be55f2eab223eb73c6016a9208f90102171939148e65d8949468fba49ebf038",
         ("compare", "readme", 0): "df96eb35a3714e63004215317e114958a6ed41239590e5fa017fa4745538e736",
         ("compare", "readme", 2): "1060d95b2071f4439701718721e5b940a8e348c0c995467988a84336c2e2dbfe",
-        ("similar", "mixed", 0): "561c2de3161077ec19215ca882ed6eda5c7b7daca232493051e553a557c02d67",
-        ("similar", "mixed", 2): "f423159f539e74c2c5d5e24c887b9a957965fd1e1b8d43b23dd8b47ddec15fa9",
+        ("similar", "mixed", 0): "b4fb61cacca7bab6b38b5efdc558e940b842c6185a00c4b0b9b7eea7a66e4965",
+        ("similar", "mixed", 2): "ee9ee33d4a83db99f2857a3ebbb468c215cc08deba5a46ed95450367631fc190",
         ("model", "mixed", 0): "075acd90c34cd2bd3c0e579ad4f4224c52ba73f5b1ab58e55125f6305c0dd92b",
         ("model", "mixed", 2): "18451a4d877a1cddd87dd56988e3308961a57fda0d2c3f162d10fe00e3ddf2ca",
         ("classify", "mixed", 0): "531cdf79bca59d619d9812e16ad5e50b23c66e5f794638c089f73fa5dbb5d137",
         ("classify", "mixed", 2): "1e89a88f11a5e1d5dc157eff1eab0e91f03667b8d883a53e6f46f141c0d6ac33",
         ("compare", "mixed", 0): "aad9db3dd62b6608179aebc36626b6e3c6ef79578d6d7a3754fffe28e7bbebea",
         ("compare", "mixed", 2): "50fb550fe45ed35d3f3af9135bb7713ca18abc7fea97729b3e73176470ac684b",
-        ("similar", "near_one", 0): "bd01fb617e18e9ed95d75c9d2f2dd56ac8bb87d72261d8fceb6ea805cce8dd6c",
-        ("similar", "near_one", 2): "11a52d6aedbe9c09409b71d6ed7aaa0b9a28e78a5546db772423b0d13472f48b",
+        ("similar", "near_one", 0): "a87720fb32f0e4e9a257b04c0474d3b95c6e6a1508ad3a80b2becfb1b1cc0978",
+        ("similar", "near_one", 2): "1efca7841af3b714ef211010de4cf6c2ef2af5e9ab7c1dd960bef28aecb11691",
         ("model", "near_one", 0): "c8e37708378fff98d41bfae07d7f555550cf2216ae0126364562b13d34b90c2e",
         ("model", "near_one", 2): "9f7e9fdab94d871289dd60097992c92429a6acc86206b00288bdb1ad6d3117a7",
         ("classify", "near_one", 0): "1448c71c98b6fcb320568ab25a2008566040b458183d2815d71bf55e64ded6fb",
@@ -427,14 +442,28 @@ class TestUsageErrors:
         assert main(["compare", ATOM2]) == 1
 
     def test_compare_takes_no_window(self, capsys):
-        # the growth classes of two triplets need no --n-max
+        # the growth classes of two triplets, and every similarity criterion, need no --n-max
         assert main(["compare", ATOM2, ISO, "--n-max", "16"]) == 1
+        assert main(["similar", ATOM2, "--n-max", "10"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["examples", "case3", "--b", "0.5"],
+            ["examples", "case3", "--c", "7"],
+            ["examples", "case3", "--point", "9"],
+            ["examples", "case1", "--t", "0.3"],
+        ],
+    )
+    def test_examples_case_takes_only_its_flags(self, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,flag",
         [
             (["classify", ATOM2, "--n-max", "-3"], "--n-max"),
-            (["similar", ATOM2, "--n-max", "0"], "--n-max"),
+            (["classify", ATOM2, "--n-max", "0"], "--n-max"),
             (["model", ATOM2, "--n-max", "0"], "--n-max"),
             (["series", ATOM2, "--n-max", "-3"], "--n-max"),
             (["subnormal", ATOM2, "--hankel-order", "-2"], "--hankel-order"),

@@ -345,7 +345,7 @@ class TestBetaNearOne:
             assert all(s.beta(n) > 0.0 for n in range(513))
 
     @pytest.mark.parametrize("index", (40, 300, core.PREFIX_WINDOW - 3))
-    def test_check_fires_in_the_block(self, index):
+    def test_check_fires_at_the_corrupted_index(self, index):
         # a g value off by 1e-6 leaves the closed form close but moves the weight route
         s = ShiftSequences(TestPrefix.NEAR_ONE[2])
         prefix = s._grow(core.PREFIX_WINDOW - 1)
@@ -353,7 +353,7 @@ class TestBetaNearOne:
         s._prefix = prefix[:index] + (prefix[index] * (1.0 + 1e-6),) + prefix[index + 1 :]
         with pytest.raises(ArithmeticError, match=f"^defect mismatch at n={index}:"):
             s.beta(index)
-        # indices the corrupted value does not reach stay readable in the same block
+        # betas that do not read the corrupted value (beta_n reads g_n .. g_n+2) stay readable
         fresh = ShiftSequences(TestPrefix.NEAR_ONE[2])
         for n in (index - 8, index + 1):
             if 0 <= n < core.PREFIX_WINDOW - 2:
@@ -417,8 +417,7 @@ class TestConcurrentReads:
         assert not any(th.is_alive() for th in threads)
         assert not failures
 
-
-    def test_threads_growing_one_beta_tuple_agree(self):
+    def test_threads_reading_betas_across_the_window_agree(self):
         import sys
         import threading
 
