@@ -9,13 +9,11 @@ process which never reads them does not import it.
 """
 
 from .core import (
-    DiagonalTriplet,
     ScalarTriplet,
     ShiftSequences,
     TypeLabel,
     classify_type,
     defect_moment_measure,
-    diagonal_triplet,
     validate_triplet,
 )
 from .measures import AtomicMeasure, ResolventIntegrals, point_mass, zero_measure
@@ -84,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMeasure",
-    "DiagonalTriplet",
     "GrowthFamilyExample",
     "INCONCLUSIVE",
     "InvalidTripletError",
@@ -109,7 +106,6 @@ __all__ = [
     "criterion_nyttrs",
     "criterion_weight_band",
     "defect_moment_measure",
-    "diagonal_triplet",
     "dichotomy_check",
     "example_t0",
     "generate_3uwre",

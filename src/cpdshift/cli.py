@@ -168,7 +168,7 @@ def classify_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
     if seqs is None:
         return report, code
     label = classify_type(seqs)
-    beta0, *betas = seqs.betas(max(2, n_max) + 1)
+    beta0, *betas = seqs.betas(n_max + 1)
     report["type"] = label
     report["beta"] = {
         "beta0": beta0,
@@ -267,14 +267,13 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
         report["verdict"] = "ModelDegenerate"
         report["reason"] = str(exc)
         return report, EXIT_DECIDED
-    count = max(2, n_max)
     report["model"] = {
         "mu0": model.mu0,
         "berger": model.berger,
-        "moments": model.moments(count),
-        "weights": model.weights(count),
+        "moments": model.moments(n_max),
+        "weights": model.weights(n_max),
     }
-    report["identity_check"] = b2_identity_check(seqs, m_max=count)
+    report["identity_check"] = b2_identity_check(seqs, m_max=n_max)
     report["verdict"] = "Model"
     report["citation"] = MODEL_TAG
     return report, EXIT_DECIDED

@@ -101,18 +101,6 @@ class TypeLabel(Record):
         return {"type": self.kind, "dim": self.dim}
 
 
-class DiagonalTriplet(Record):
-    """Index-k entry of the diagonal operator triplet attached to the shift."""
-
-    __slots__ = ("k", "b_k", "c_k", "nu_k")
-
-    def __init__(self, k: int, b_k: float, c_k: float, nu_k: AtomicMeasure):
-        _set(self, "k", k)
-        _set(self, "b_k", b_k)
-        _set(self, "c_k", c_k)
-        _set(self, "nu_k", nu_k)
-
-
 def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
     """(L, A) = (b - i1, 1 - i2) in gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2.
 
@@ -516,18 +504,3 @@ def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
     if (s.beta(1) > 0.0) != (label.kind == "III"):
         raise RuntimeError("type label disagrees with the beta_1 > 0 dichotomy")
     return label
-
-
-def diagonal_triplet(t: ScalarTriplet | ShiftSequences, k: int) -> DiagonalTriplet:
-    """k-th diagonal entry of the operator triplet attached to the shift."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    s = as_sequences(t)
-    t = s.triplet
-    gk = s.gamma(k)
-    b_k = (s.gamma(k + 1) - gk - t.c) / gk
-    c_k = t.c / gk
-    # the origin carries no mass for k >= 1, and masses that underflow drop out too
-    masses = ((p, p**k * w / gk) for p, w in t.nu.atoms)
-    atoms = tuple((p, m) for p, m in masses if m > 0.0)
-    return DiagonalTriplet(k, b_k, c_k, AtomicMeasure(atoms))

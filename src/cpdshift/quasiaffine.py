@@ -141,73 +141,36 @@ def intertwiner_check(lam_hat, om_hat, m: int = 32, rtol: float = INTERTWINER_RT
     return defect <= rtol * scale
 
 
-def alevy_scenario(
-    t: ScalarTriplet | ShiftSequences, berger: AtomicMeasure, n_max: int = DEFAULT_N
-) -> dict:
+def alevy_scenario(t: ScalarTriplet | ShiftSequences, berger: AtomicMeasure) -> dict:
     """Quasi-affinity of a non-subnormal shift against a subnormal one, both ways.
 
     Forward direction (contractive Berger measure, support in [0, 1]): the
     formal moments of the non-subnormal shift grow without bound while the
     subnormal moments stay <= 1, so the ratio decays to 0.  Reverse direction
     (Berger support strictly above the support of nu, both above 1): the
-    opposite ratio decays geometrically.  The report certifies moment growth
-    via convexity and records where each ratio drops below 1e-6.
+    opposite ratio decays geometrically.  The growth classes decide both:
+    "growth" holds t's class and whether it exceeds (1, 0), "forward" is
+    quasi_affine_test(t, berger) and "reverse" quasi_affine_test(berger, t).
     """
     seqs = as_sequences(t)
     t = seqs.triplet
     if is_subnormal(seqs).is_yes:
         raise ValueError("scenario requires a non-subnormal shift")
 
-    _require_positive_moments(berger)
+    # a measure with no positive point reads as contractive, and quasi_affine_test rejects it
     contractive = berger.support_max() <= 1.0
-    theta2 = t.nu.support_max()
-    theta1 = berger.support_min()
-    reverse_applicable = 1.0 < theta2 < theta1
+    reverse_applicable = 1.0 < t.nu.support_max() < berger.support_min()
     if not contractive and not reverse_applicable:
-        raise ValueError(
-            "Berger measure is neither contractive nor supported strictly above nu"
-        )
+        raise ValueError("Berger measure is neither contractive nor supported strictly above nu")
 
-    report: dict = {"criterion": "alevy_scenario", "citation": ALEVY_TAG}
-
-    # moment growth certificate: first strictly positive slope; convexity of
-    # gamma makes the sequence increase at least linearly from there on
-    grow_idx = None
-    for n in range(n_max):
-        if seqs.gamma(n + 1) - seqs.gamma(n) > 0.0:
-            grow_idx = n
-            break
-    report["growth"] = {
-        "first_increasing_index": grow_idx,
-        "certified": grow_idx is not None,
+    growth = growth_class(seqs)
+    report: dict = {
+        "criterion": "alevy_scenario",
+        "citation": ALEVY_TAG,
+        "growth": {"class": growth, "unbounded": growth[:2] > (1.0, 0)},
     }
-
     if contractive:
-        drop_idx, ratio = _first_drop(lambda n: berger.log_moment(n) - seqs.log_gamma(n))
-        report["forward"] = {
-            "ratio_below_1e-6_at": drop_idx,
-            "ratio_there": ratio,
-            "berger_total": berger.total_mass(),
-        }
+        report["forward"] = quasi_affine_test(seqs, berger)
     if reverse_applicable:
-        drop_idx, ratio = _first_drop(lambda n: seqs.log_gamma(n) - berger.log_moment(n))
-        report["reverse"] = {
-            "theta1": theta1,
-            "theta2": theta2,
-            "ratio_below_1e-6_at": drop_idx,
-            "ratio_there": ratio,
-        }
+        report["reverse"] = quasi_affine_test(berger, seqs)
     return report
-
-
-def _first_drop(log_ratio_fn, cap: int = 10**7):
-    """Geometric probe for an index where the (eventually monotone) ratio < 1e-6."""
-    target = math.log(1e-6)
-    n = 1
-    while n <= cap:
-        lr = log_ratio_fn(n)
-        if lr < target:
-            return n, math.exp(lr)
-        n *= 2
-    lr = log_ratio_fn(cap)
-    return None, (math.exp(lr) if lr < 700.0 else math.inf)

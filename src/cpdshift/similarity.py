@@ -58,9 +58,11 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
     infimum is positive exactly when that limit is.  A limit of 0, and a
     defect measure that is zero (type I) or lives at the origin (type II,
     beta_n = 0 from n = 1), is a definitive "no".  A positive limit is a
-    "yes" once a floor is certified: the least of beta_0 .. beta_WITNESS_N
-    and, past them, the closed-form floor of _tail_floor, which needs an
-    atom of nu above 1; without one the answer is inconclusive.
+    "yes" once a floor is certified.  With an atom of nu above 1 the floor
+    is the least of beta_0 .. beta_WITNESS_N and, past them, _tail_floor.
+    Without one the limit is positive only when c = 0 and A = L = 0 (within
+    their rounding), and then beta_n is a convex combination of the
+    (1 - x)^2 over the atoms: the least of them floors every beta_n.
     """
     s = as_sequences(t)
     t = s.triplet
@@ -81,8 +83,8 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
         note = "the defect moments grow slower than gamma, so beta_n tends to 0"
         return Verdict(NO, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
     if not t.nu.support_max() > 1.0:
-        note = "beta_n has a positive limit, but no atom above 1 floors the tail"
-        return Verdict(INCONCLUSIVE, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
+        witness["eps"] = min((1.0 - p) ** 2 for p, _ in t.nu.atoms)
+        return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
 
     betas = s.betas(WITNESS_N + 1)
     prefix_min = min(betas)
@@ -216,24 +218,20 @@ def criterion_weight_band(t: ScalarTriplet | ShiftSequences, n_lo: int = 32) -> 
     band of lambda_n^2 over n >= n_lo.  The band is read at n <= WITNESS_N;
     past it lambda_n^2 = theta g_{n+1} / g_n lies in
     [theta (1-E)/(1+E), theta (1+E)/(1-E)] with E from _weight_tail_error.
-    Without an atom theta > 1, or with E >= 1, that tail is unbounded and the
-    answer inconclusive.  Similarity depends only on the tail of the
-    weights, so the band covers every n >= n_lo and has no upper end.
+    Without an atom theta > 1, or with E >= 1, that tail is unbounded, the
+    band is [0, inf] whatever the prefix holds, and the prefix is not read.
+    Similarity depends only on the tail of the weights, so the band covers
+    every n >= n_lo and has no upper end.
     """
     s = as_sequences(t)
-    lo, hi = math.inf, -math.inf
-    if n_lo <= WITNESS_N:
-        # lambda_n^2 = sqrt(x)^2 for the prefix ratio x; sqrt and squaring are
-        # monotone, so the band ends are those of the ratios, squared back the same way
-        ratios = s._weight_squares(n_lo, WITNESS_N)
-        lo, hi = math.sqrt(min(ratios)) ** 2, math.sqrt(max(ratios)) ** 2
     theta = s.triplet.nu.support_max()
     err = _weight_tail_error(s.triplet, WITNESS_N + 1) if theta > 1.0 else math.inf
+    lo, hi = 0.0, math.inf
     if err < 1.0:
-        lo = min(lo, theta * (1.0 - err) / (1.0 + err))
-        hi = max(hi, theta * (1.0 + err) / (1.0 - err))
-    else:
-        lo, hi = 0.0, math.inf
+        # lambda_n^2 = sqrt(x)^2, monotone in the prefix ratio x (none when n_lo > WITNESS_N)
+        ratios = s._weight_squares(n_lo, WITNESS_N)
+        lo = min(theta * (1.0 - err) / (1.0 + err), math.sqrt(min(ratios, default=math.inf)) ** 2)
+        hi = max(theta * (1.0 + err) / (1.0 - err), math.sqrt(max(ratios, default=0.0)) ** 2)
     witness = {"n_lo": n_lo, "tail_from": WITNESS_N + 1, "tail_error": err}
     witness.update({"band_min": lo, "band_max": hi})
 

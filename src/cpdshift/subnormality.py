@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 
 from .core import (
+    ROUNDING,
     ScalarTriplet,
     ShiftSequences,
     as_sequences,
     classify_type,
+    limit_coefficients,
 )
 from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, Record, Verdict, _set
@@ -35,8 +37,6 @@ B_NEAR_MISS = 1e-6
 # than BAND_FACTOR * tol * norm are a decisive "no"; in between is a declared
 # tolerance band (not decisive).
 HANKEL_BAND_FACTOR = 10.0
-
-CONDITION_ZERO_ATOL = 1e-12
 
 
 def is_subnormal(t: ScalarTriplet | ShiftSequences) -> Verdict:
@@ -139,19 +139,14 @@ class ConditionResult(Record):
 
 
 class NecessaryReport(Record):
-    __slots__ = ("applicable", "note", "conditions", "checked_up_to")
+    __slots__ = ("applicable", "note", "conditions")
 
     def __init__(
-        self,
-        applicable: bool,
-        note: str = "",
-        conditions: tuple[ConditionResult, ...] = (),
-        checked_up_to: int = 0,
+        self, applicable: bool, note: str = "", conditions: tuple[ConditionResult, ...] = ()
     ):
         _set(self, "applicable", applicable)
         _set(self, "note", note)
         _set(self, "conditions", conditions)
-        _set(self, "checked_up_to", checked_up_to)
 
     @property
     def not_similar(self) -> bool:
@@ -166,77 +161,61 @@ class NecessaryReport(Record):
             "applicable": self.applicable,
             "note": self.note,
             "conditions": [c.to_json() for c in self.conditions],
-            "checked_up_to": self.checked_up_to,
             "certifies_not_similar": self.not_similar,
         }
 
 
-def necessary_conditions(t: ScalarTriplet | ShiftSequences, k_max: int = 64) -> NecessaryReport:
-    """Similarity-to-subnormal necessary conditions, checked on the diagonal triplet.
+def necessary_conditions(t: ScalarTriplet | ShiftSequences) -> NecessaryReport:
+    """Similarity-to-subnormal necessary conditions, decided in closed form.
 
     Applicable only when the support of nu lies in [0, 1]; outside that range
     no shift-level criterion is available and the report says so.  The
-    conditions quantify over every diagonal index, verified here for k up to
-    k_max:
+    conditions quantify over every index k of the diagonal triplet:
         (i)   c = 0,
         (ii)  b_k + nu_k-total <= 0 for all k,
         (iii) b_k + nu_k-total = 0 for all k, or nu charges a point != 0,
         (iv)  some b_k < 0, or nu has no atom in the open interval (0, 1).
     Any failure certifies that the shift is not similar to a subnormal
     operator.
+
+    In gamma_n = A + L n + c n^2 + sum w x^n / (x-1)^2 (limit_coefficients)
+    the numerators gamma_k (b_k + nu_k-total) = L + 2ck + sum w x^(k+1)/(x-1)
+    and gamma_k b_k = L + 2ck + sum w x^k/(x-1) increase in k, the first to L
+    or +inf, the second from b.  So (ii) fails exactly when c > 0 or L > 0,
+    with L counted as 0 within its rounding (gamma_growth_class), and (iv)
+    when b >= 0 and an atom lies in (0, 1).
     """
-    s = as_sequences(t)
-    t = s.triplet
+    t = as_sequences(t).triplet
     if t.nu.support_max() > 1.0:
         return NecessaryReport(
             applicable=False,
             note="support of nu is not contained in [0, 1]; conditions do not apply",
         )
 
-    # b_k and nu_k-total of diagonal_triplet(s, k), without building its measure
-    gammas = s.gammas(k_max + 2)
-    b_ks = [(gammas[k + 1] - gk - t.c) / gk for k, gk in enumerate(gammas[:-1])]
-    sums = [
-        b_k + math.fsum(p**k * w / gk for p, w in t.nu.atoms)  # zero masses add nothing
-        for k, (gk, b_k) in enumerate(zip(gammas, b_ks))
-    ]
-
-    cond_i = ConditionResult("i-c-zero", t.c == 0.0, detail="c = 0")
-
-    bad_ii = next((k for k, v in enumerate(sums) if v > CONDITION_ZERO_ATOL), None)
-    cond_ii = ConditionResult(
-        "ii-diagonal-sum-nonpositive",
-        bad_ii is None,
-        witness_index=bad_ii,
-        detail=f"b_k + nu_k-total <= 0, verified for k <= {k_max}",
-    )
-
-    all_zero = all(abs(v) <= CONDITION_ZERO_ATOL for v in sums)
-    off_origin = any(p > 0.0 for p, _ in t.nu.atoms)
-    bad_iii = None
-    if not (all_zero or off_origin):
-        bad_iii = next(k for k, v in enumerate(sums) if abs(v) > CONDITION_ZERO_ATOL)
-    cond_iii = ConditionResult(
-        "iii-zero-sum-or-offorigin-support",
-        all_zero or off_origin,
-        witness_index=bad_iii,
-        detail=f"b_k + nu_k-total = 0 for all k <= {k_max}, or supp nu != {{0}}",
-    )
-
-    some_negative_b = any(b_k < -CONDITION_ZERO_ATOL for b_k in b_ks)
+    slope, _ = limit_coefficients(t)
+    ii = t.c == 0.0 and not slope > ROUNDING * (abs(t.b) + abs(t.b - slope))
+    # with no atom off the origin the sums are (L + 2ck) / gamma_k, and a valid
+    # triplet with c = 0 has L >= 0: they vanish exactly when (ii) holds
+    iii = ii or any(p > 0.0 for p, _ in t.nu.atoms)
     interior = next((i for i, (p, _) in enumerate(t.nu.atoms) if 0.0 < p < 1.0), None)
-    cond_iv = ConditionResult(
-        "iv-negative-b-or-no-interior-atom",
-        some_negative_b or interior is None,
-        witness_index=None if (some_negative_b or interior is None) else interior,
-        detail="some b_k < 0, or nu has no atom in (0, 1)",
+    iv = t.b < 0.0 or interior is None
+    conditions = (
+        ConditionResult("i-c-zero", t.c == 0.0, None, "c = 0"),
+        ConditionResult("ii-diagonal-sum-nonpositive", ii, None, "b_k + nu_k-total <= 0 for all k"),
+        ConditionResult(
+            "iii-zero-sum-or-offorigin-support",
+            iii,
+            None,
+            "b_k + nu_k-total = 0 for all k, or supp nu != {0}",
+        ),
+        ConditionResult(
+            "iv-negative-b-or-no-interior-atom",
+            iv,
+            None if iv else interior,
+            "some b_k < 0, or nu has no atom in (0, 1)",
+        ),
     )
-
-    return NecessaryReport(
-        applicable=True,
-        conditions=(cond_i, cond_ii, cond_iii, cond_iv),
-        checked_up_to=k_max,
-    )
+    return NecessaryReport(True, "", conditions)
 
 
 def dichotomy_check(t: ScalarTriplet | ShiftSequences) -> Verdict:

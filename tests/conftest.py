@@ -4,9 +4,12 @@ import pytest
 from cpdshift import (
     AtomicMeasure,
     ScalarTriplet,
+    ShiftSequences,
     validate_triplet,
     wab_classify,
 )
+from cpdshift.core import as_sequences
+from cpdshift.verdict import Record, _set
 
 WAB_GRID_A = (0.25, 0.5, 1.0, 2.0)
 WAB_GRID_B = (1.0, 1.5, 2.0, 3.0)
@@ -91,3 +94,33 @@ def subnormality_corpus(rng):
     forced = [forced_subnormal_triplet(rng) for _ in range(50)]
     perturbed = [perturbed_triplet(rng, t) for t in forced]
     return forced, perturbed
+
+
+class DiagonalTriplet(Record):
+    """Index-k entry of the diagonal operator triplet attached to the shift."""
+
+    __slots__ = ("k", "b_k", "c_k", "nu_k")
+
+    def __init__(self, k: int, b_k: float, c_k: float, nu_k: AtomicMeasure):
+        _set(self, "k", k)
+        _set(self, "b_k", b_k)
+        _set(self, "c_k", c_k)
+        _set(self, "nu_k", nu_k)
+
+
+def diagonal_triplet(t: ScalarTriplet | ShiftSequences, k: int) -> DiagonalTriplet:
+    """k-th diagonal entry of the operator triplet, read from gamma_k and gamma_k+1.
+
+    The reference that the closed-form necessary conditions are checked against.
+    """
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    s = as_sequences(t)
+    t = s.triplet
+    gk = s.gamma(k)
+    b_k = (s.gamma(k + 1) - gk - t.c) / gk
+    c_k = t.c / gk
+    # the origin carries no mass for k >= 1, and masses that underflow drop out too
+    masses = ((p, p**k * w / gk) for p, w in t.nu.atoms)
+    atoms = tuple((p, m) for p, m in masses if m > 0.0)
+    return DiagonalTriplet(k, b_k, c_k, AtomicMeasure(atoms))

@@ -18,8 +18,7 @@ from cpdshift.similarity import WITNESS_N
 N_SCAN, N_MODEL = 512, 32
 # two validations, each at most 4 kernel calls per doubling of the exit index, up to 2^53
 MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
-# the prefix the 65 witness betas (g_n to n = 66) and the 66 gammas of the
-# necessary conditions need: two blocks
+# the prefix the 65 witness betas (g_n to n = 66) need: two blocks
 MAX_PREFIX = 2 * core.FIRST_BLOCK
 # every read checks the betas it returns and no others: the witness betas, the
 # model identity check and beta_1 for each type check

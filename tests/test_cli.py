@@ -20,7 +20,6 @@ from cpdshift import (
     criterion_kdwq,
     criterion_nyttrs,
     criterion_weight_band,
-    diagonal_triplet,
     dichotomy_check,
     is_subnormal,
     model_subnormal,
@@ -122,8 +121,11 @@ class TestSimilar:
         assert doc["citation"]
 
     def test_subnormal_takes_precedence(self, capsys):
-        code, doc = run_json(capsys, "similar", SUBN)
-        assert code == 0 and doc["verdict"] == "Subnormal"
+        # the second has gamma_n = 0.01^n, which cancels to rounding in the float sums
+        decaying = '{"b": -0.99, "c": 0, "nu": {"atoms": [[0.01, 0.9801]]}}'
+        for spec in (SUBN, decaying):
+            code, doc = run_json(capsys, "similar", spec)
+            assert code == 0 and doc["verdict"] == "Subnormal"
 
     def test_interior_slope_certifies_not_similar(self, capsys):
         # diagonal sums b_k + nu_k-total turn positive within k <= 64
@@ -132,13 +134,14 @@ class TestSimilar:
         assert code == 0
         assert doc["verdict"] == "NotSimilar"
 
-    def test_near_miss_is_inconclusive(self, capsys):
-        # b misses the resolvent sum by 1e-9 (near-miss band) and the diagonal
-        # sums stay negative past k = 64: nothing can decide
+    def test_near_miss_fails_the_diagonal_sums(self, capsys):
+        # b misses the resolvent sum by 1e-9 (near-miss band), so L = 1e-9 > 0: the
+        # diagonal sums turn positive, though only past k = 64
         near = '{"b": -0.049999999, "c": 0.0, "nu": {"atoms": [[0.9, 0.005]]}}'
         code, doc = run_json(capsys, "similar", near)
-        assert doc["verdict"] == "Inconclusive"
-        assert code == 2
+        assert doc["verdict"] == "NotSimilar"
+        assert doc["citation"] == "similarity-necessary-conditions(ii-diagonal-sum-nonpositive)"
+        assert code == 0
 
 
 class TestCompare:
@@ -369,24 +372,24 @@ class TestGoldenBytes:
     NEAR_ONE = '{"b": 0.5, "c": 0.0, "nu": {"atoms": [[0.5, 1.0], [1.00019, 1.0]]}}'
     SPECS = {"readme": ATOM2, "mixed": MIXED, "near_one": NEAR_ONE}
     DIGESTS = {
-        ("similar", "readme", 0): "a1630c84d09c2583735098ade9258ff6e0ce7af03f08767c6938a97ad1df0d63",
-        ("similar", "readme", 2): "7ff8dfca91d43950fbcb35d759fd0a3e3ca1dbd16ff3cadefe2278c6e82e6cbd",
+        ("similar", "readme", 0): "49447ceb9026f504f9bb03c055353e3e4661341bf2e3647ee9f28cf6335228fd",
+        ("similar", "readme", 2): "a2c2d7fc83bbedc96dcfcb3da515a5c8b78fcb2a12ad4c224112835c9c8880df",
         ("model", "readme", 0): "b94d9d0a30a4a9b13a183e38ab117a1ca5d6968ecd4403c0b40b0b5122b0696f",
         ("model", "readme", 2): "5f3318e44ceffd27234f9870a73972fd76b43e95b03ea1a03947d63424bb02ae",
         ("classify", "readme", 0): "5cc958ae2e9cc629918e0c414edb2fba65ddef586da006390e4356613cef3a9d",
         ("classify", "readme", 2): "8be55f2eab223eb73c6016a9208f90102171939148e65d8949468fba49ebf038",
         ("compare", "readme", 0): "df96eb35a3714e63004215317e114958a6ed41239590e5fa017fa4745538e736",
         ("compare", "readme", 2): "1060d95b2071f4439701718721e5b940a8e348c0c995467988a84336c2e2dbfe",
-        ("similar", "mixed", 0): "b4fb61cacca7bab6b38b5efdc558e940b842c6185a00c4b0b9b7eea7a66e4965",
-        ("similar", "mixed", 2): "ee9ee33d4a83db99f2857a3ebbb468c215cc08deba5a46ed95450367631fc190",
+        ("similar", "mixed", 0): "ad410fca69dd4a8f0a39d524d83c54ec62569b1b0190a0d93096667f9f6a054f",
+        ("similar", "mixed", 2): "6ce2c6bf3f32641b957dfb167954a642baa565efa600be0e14bb87983cffc84f",
         ("model", "mixed", 0): "075acd90c34cd2bd3c0e579ad4f4224c52ba73f5b1ab58e55125f6305c0dd92b",
         ("model", "mixed", 2): "18451a4d877a1cddd87dd56988e3308961a57fda0d2c3f162d10fe00e3ddf2ca",
         ("classify", "mixed", 0): "531cdf79bca59d619d9812e16ad5e50b23c66e5f794638c089f73fa5dbb5d137",
         ("classify", "mixed", 2): "1e89a88f11a5e1d5dc157eff1eab0e91f03667b8d883a53e6f46f141c0d6ac33",
         ("compare", "mixed", 0): "aad9db3dd62b6608179aebc36626b6e3c6ef79578d6d7a3754fffe28e7bbebea",
         ("compare", "mixed", 2): "50fb550fe45ed35d3f3af9135bb7713ca18abc7fea97729b3e73176470ac684b",
-        ("similar", "near_one", 0): "a87720fb32f0e4e9a257b04c0474d3b95c6e6a1508ad3a80b2becfb1b1cc0978",
-        ("similar", "near_one", 2): "1efca7841af3b714ef211010de4cf6c2ef2af5e9ab7c1dd960bef28aecb11691",
+        ("similar", "near_one", 0): "e27fd4979167b36e1ac5167b03f1dd37aa0f6b116ddf94ded1386b29f4c83cd0",
+        ("similar", "near_one", 2): "e2faa16f421f80cd712672487e66ad1d7d11198f17924b2b03f1b05f3c1e2259",
         ("model", "near_one", 0): "c8e37708378fff98d41bfae07d7f555550cf2216ae0126364562b13d34b90c2e",
         ("model", "near_one", 2): "9f7e9fdab94d871289dd60097992c92429a6acc86206b00288bdb1ad6d3117a7",
         ("classify", "near_one", 0): "1448c71c98b6fcb320568ab25a2008566040b458183d2815d71bf55e64ded6fb",
@@ -482,6 +485,12 @@ class TestUsageErrors:
         code, doc = run_json(capsys, "subnormal", ATOM2, "--tol", "1e-6", "--hankel-order", "6")
         assert code == 0 and doc["verdict"] == "NotSubnormal"
         assert doc["hankel_oracle"]["witnesses"]["order"] == 6
+        # --n-max 1, the least count, is read as given: beta_1 = 0.6 / 1.5, not beta_2
+        low = '{"b": 0.3, "c": 0.2, "nu": {"atoms": [[0.5, 0.4]]}}'
+        code, doc = run_json(capsys, "classify", low, "--n-max", "1")
+        assert code == 0 and doc["beta"]["min_over_1_to_n_max"] == pytest.approx(0.4)
+        code, doc = run_json(capsys, "model", low, "--n-max", "1")
+        assert code == 0 and len(doc["model"]["moments"]) == len(doc["model"]["weights"]) == 1
 
 
 class TestSharedSequences:
@@ -548,7 +557,6 @@ class TestSharedSequences:
     # every triplet-level procedure, with its other arguments fixed
     PROCEDURES = (
         classify_type,
-        lambda s: diagonal_triplet(s, 3),
         is_subnormal,
         necessary_conditions,
         dichotomy_check,

@@ -251,18 +251,23 @@ class TestIntertwiner:
 class TestAlevyScenario:
     def test_two_isometry_vs_unweighted_shift(self):
         report = alevy_scenario(TWO_ISO, point_mass(1.0, 1.0))
-        assert report["growth"]["certified"]
-        n = report["forward"]["ratio_below_1e-6_at"]
-        assert n is not None and report["forward"]["ratio_there"] < 1e-6
+        assert report["growth"] == {"class": growth_class(TWO_ISO), "unbounded": True}
+        assert report["forward"] == quasi_affine_test(TWO_ISO, point_mass(1.0, 1.0))
+        assert report["forward"].is_yes and report["forward"].witness["limit_ratio"] == 0.0
+        assert "reverse" not in report
 
     def test_quadratic_vs_bernoulli_berger(self):
         berger = AtomicMeasure(((0.0, 0.5), (1.0, 0.5)))
         report = alevy_scenario(trip(0.0, 1.0), berger)
-        assert report["forward"]["ratio_below_1e-6_at"] is not None
+        assert report["growth"]["class"][:2] == (1.0, 2) and report["growth"]["unbounded"]
+        assert report["forward"].witness["limit_ratio"] == 0.0
 
     def test_reverse_direction(self):
-        report = alevy_scenario(trip(0.0, 0.0, [(1.5, 1.0)]), point_mass(2.0, 1.0))
-        assert report["reverse"]["ratio_below_1e-6_at"] is not None
+        t, berger = trip(0.0, 0.0, [(1.5, 1.0)]), point_mass(2.0, 1.0)
+        report = alevy_scenario(t, berger)
+        assert report["reverse"] == quasi_affine_test(berger, t)
+        assert report["reverse"].is_yes and report["reverse"].witness["limit_ratio"] == 0.0
+        assert "forward" not in report
 
     def test_rejects_subnormal_input(self):
         with pytest.raises(ValueError, match="non-subnormal"):

@@ -14,7 +14,6 @@ import pytest
 from cpdshift import (
     YES,
     AtomicMeasure,
-    DiagonalTriplet,
     GrowthFamilyExample,
     ModelShift,
     NecessaryReport,
@@ -27,6 +26,7 @@ from cpdshift import (
     wab_classify,
 )
 from cpdshift.subnormality import ConditionResult
+from conftest import DiagonalTriplet
 
 
 def measure():
@@ -59,7 +59,7 @@ RECORDS = {
     ),
     "NecessaryReport": (
         NecessaryReport,
-        lambda: NecessaryReport(True, "", (ConditionResult("i-c-zero", True),), 64),
+        lambda: NecessaryReport(True, "", (ConditionResult("i-c-zero", True),)),
         lambda: NecessaryReport(False, "n/a"),
     ),
     "ModelShift": (
@@ -133,7 +133,7 @@ def test_verdict_witness_defaults_to_a_fresh_dict():
 
 def test_defaults():
     assert ConditionResult("x", True) == ConditionResult("x", True, None, "")
-    assert NecessaryReport(False) == NecessaryReport(False, "", (), 0)
+    assert NecessaryReport(False) == NecessaryReport(False, "", ())
     assert AtomicMeasure() == AtomicMeasure(()) and AtomicMeasure().is_zero
 
 

