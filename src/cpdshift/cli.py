@@ -20,7 +20,6 @@ from .quasiaffine import DEFAULT_N, INTERTWINER_RTOL, intertwiner_defect, simila
 from .similarity import (
     MODEL_TAG,
     ModelDegenerateError,
-    b2_identity_check,
     criterion_ineqsuf,
     criterion_kdwq,
     criterion_nyttrs,
@@ -111,10 +110,6 @@ def _native(o):
     if hasattr(o, "tolist"):
         return o.tolist()
     raise TypeError(f"cannot serialize {type(o).__name__}")
-
-
-def _print_report(report) -> None:
-    print(dumps(report, indent=2))
 
 
 # -- input loading ------------------------------------------------------------
@@ -273,7 +268,6 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
         "moments": model.moments(n_max),
         "weights": model.weights(n_max),
     }
-    report["identity_check"] = b2_identity_check(seqs, m_max=n_max)
     report["verdict"] = "Model"
     report["citation"] = MODEL_TAG
     return report, EXIT_DECIDED
@@ -455,14 +449,14 @@ def _run_command(args) -> int:
         if not args.spec:
             raise InputError("a triplet spec (or --batch FILE) is required")
         report, code = _report(args, args.spec)
-        _print_report(report)
+        print(dumps(report, indent=2))
         return code
 
     if args.cmd == "compare":
         ta = load_triplet(args.spec_a)
         tb = load_triplet(args.spec_b)
         report, code = compare_report(ta, tb, DEFAULT_N)
-        _print_report(report)
+        print(dumps(report, indent=2))
         return code
 
     if args.cmd == "series":

@@ -26,7 +26,6 @@ bits, and the same exception at the first index whose read raises.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -234,7 +233,13 @@ def _forward_scan(t: ScalarTriplet, case: int) -> Verdict:
     finds it with O(log n) kernel evaluations.  It compares with >=, not through
     a difference, so an overflowed pair of +inf reads as stopped.
     """
-    gamma = functools.cache(functools.partial(_gamma_value, t))
+    values: dict[int, float] = {}
+
+    def gamma(n: int) -> float:
+        g = values.get(n)
+        if g is None:
+            g = values[n] = _gamma_value(t, n)
+        return g
 
     def stopped(n: int) -> bool:
         return gamma(n + 1) >= gamma(n) or gamma(n + 1) <= 0.0

@@ -20,9 +20,9 @@ N_SCAN, N_MODEL = 512, 32
 MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
 # the prefix the 65 witness betas (g_n to n = 66) need: two blocks
 MAX_PREFIX = 2 * core.FIRST_BLOCK
-# every read checks the betas it returns and no others: the witness betas, the
-# model identity check and beta_1 for each type check
-MAX_CHECKED = (WITNESS_N + 1) + (N_MODEL + 1) + 2
+# every read checks the betas it returns and no others: the witness betas and
+# beta_1 for each type check
+MAX_CHECKED = (WITNESS_N + 1) + 2
 
 atoms = st.lists(
     st.tuples(
@@ -75,3 +75,19 @@ def test_reports_do_bounded_work(t):
     # _checked_betas(start, defect, theta, g) checks len(g) - 2 indices
     assert sum(len(call.args[3]) - 2 for call in checked.call_args_list) <= MAX_CHECKED
     assert all(len(s._prefix) <= MAX_PREFIX for s in built)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(triplets())
+def test_model_report_reads_one_block(t):
+    # the model report prints its Berger measure: beta_1 of the type check is its
+    # only prefix read, so it grows the first block alone
+    grow = mock.patch.object(
+        ShiftSequences, "_grow", autospec=True, side_effect=ShiftSequences._grow
+    )
+    count_checked = mock.patch.object(core, "_checked_betas", wraps=core._checked_betas)
+    with grow as grown, count_checked as checked:
+        model_report(t, N_MODEL)
+    assert all(call.args[1] < core.FIRST_BLOCK for call in grown.call_args_list)
+    checks = [(call.args[0], len(call.args[3]) - 2) for call in checked.call_args_list]
+    assert checks in ([], [(1, 1)])

@@ -121,11 +121,17 @@ class TestSimilar:
         assert doc["citation"]
 
     def test_subnormal_takes_precedence(self, capsys):
-        # the second has gamma_n = 0.01^n, which cancels to rounding in the float sums
-        decaying = '{"b": -0.99, "c": 0, "nu": {"atoms": [[0.01, 0.9801]]}}'
-        for spec in (SUBN, decaying):
+        # gamma_n = 0.01^n and 0.1^n, which cancel to rounding in the float sums
+        decaying = (
+            '{"b": -0.99, "c": 0, "nu": {"atoms": [[0.01, 0.9801]]}}',
+            '{"b": -0.9, "c": 0, "nu": {"atoms": [[0.1, 0.81]]}}',
+        )
+        for spec in (SUBN, *decaying):
             code, doc = run_json(capsys, "similar", spec)
             assert code == 0 and doc["verdict"] == "Subnormal"
+        # the model shift reads only its Berger measure, none of the cancelled gamma_n
+        code, doc = run_json(capsys, "model", decaying[1])
+        assert code == 0 and doc["verdict"] == "Model" and "identity_check" not in doc
 
     def test_interior_slope_certifies_not_similar(self, capsys):
         # diagonal sums b_k + nu_k-total turn positive within k <= 64
@@ -374,24 +380,24 @@ class TestGoldenBytes:
     DIGESTS = {
         ("similar", "readme", 0): "49447ceb9026f504f9bb03c055353e3e4661341bf2e3647ee9f28cf6335228fd",
         ("similar", "readme", 2): "a2c2d7fc83bbedc96dcfcb3da515a5c8b78fcb2a12ad4c224112835c9c8880df",
-        ("model", "readme", 0): "b94d9d0a30a4a9b13a183e38ab117a1ca5d6968ecd4403c0b40b0b5122b0696f",
-        ("model", "readme", 2): "5f3318e44ceffd27234f9870a73972fd76b43e95b03ea1a03947d63424bb02ae",
+        ("model", "readme", 0): "a2f7a05620266456c1a6e0787c2afd1798143fc6ed20e660a6674f6a72a1752a",
+        ("model", "readme", 2): "90a1c29e4922c700be1fe3c561c2f9321ade16e9297f2f480bc610a4e8477604",
         ("classify", "readme", 0): "5cc958ae2e9cc629918e0c414edb2fba65ddef586da006390e4356613cef3a9d",
         ("classify", "readme", 2): "8be55f2eab223eb73c6016a9208f90102171939148e65d8949468fba49ebf038",
         ("compare", "readme", 0): "df96eb35a3714e63004215317e114958a6ed41239590e5fa017fa4745538e736",
         ("compare", "readme", 2): "1060d95b2071f4439701718721e5b940a8e348c0c995467988a84336c2e2dbfe",
         ("similar", "mixed", 0): "ad410fca69dd4a8f0a39d524d83c54ec62569b1b0190a0d93096667f9f6a054f",
         ("similar", "mixed", 2): "6ce2c6bf3f32641b957dfb167954a642baa565efa600be0e14bb87983cffc84f",
-        ("model", "mixed", 0): "075acd90c34cd2bd3c0e579ad4f4224c52ba73f5b1ab58e55125f6305c0dd92b",
-        ("model", "mixed", 2): "18451a4d877a1cddd87dd56988e3308961a57fda0d2c3f162d10fe00e3ddf2ca",
+        ("model", "mixed", 0): "67856fb911ea5d617800e9192b743a42d2ad6df2c41fa188396a2e41d0393e7c",
+        ("model", "mixed", 2): "e281506a6520aad33059878ca200821c992b0e778f52783c6875edfccf0939bd",
         ("classify", "mixed", 0): "531cdf79bca59d619d9812e16ad5e50b23c66e5f794638c089f73fa5dbb5d137",
         ("classify", "mixed", 2): "1e89a88f11a5e1d5dc157eff1eab0e91f03667b8d883a53e6f46f141c0d6ac33",
         ("compare", "mixed", 0): "aad9db3dd62b6608179aebc36626b6e3c6ef79578d6d7a3754fffe28e7bbebea",
         ("compare", "mixed", 2): "50fb550fe45ed35d3f3af9135bb7713ca18abc7fea97729b3e73176470ac684b",
         ("similar", "near_one", 0): "e27fd4979167b36e1ac5167b03f1dd37aa0f6b116ddf94ded1386b29f4c83cd0",
         ("similar", "near_one", 2): "e2faa16f421f80cd712672487e66ad1d7d11198f17924b2b03f1b05f3c1e2259",
-        ("model", "near_one", 0): "c8e37708378fff98d41bfae07d7f555550cf2216ae0126364562b13d34b90c2e",
-        ("model", "near_one", 2): "9f7e9fdab94d871289dd60097992c92429a6acc86206b00288bdb1ad6d3117a7",
+        ("model", "near_one", 0): "578625d8265a4921e66f84f3e9d318f479d09919ef12de4e18157597d3f12b6c",
+        ("model", "near_one", 2): "c5c941d605769e5cc762843233928746103990c2a9938c85f0c365b64cca56e8",
         ("classify", "near_one", 0): "1448c71c98b6fcb320568ab25a2008566040b458183d2815d71bf55e64ded6fb",
         ("classify", "near_one", 2): "952aad24732355759ff5445251f36c90da4a12076f9a235622ccb59b8dd9c4a6",
         ("compare", "near_one", 0): "bef97fc537b97df3e5e1bc76278830307a839648bfa0bcd159939699d9f1a291",
