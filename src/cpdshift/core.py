@@ -103,49 +103,50 @@ class TypeLabel(Record):
 def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
     """(L, A) = (b - i1, 1 - i2) in gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2.
 
-    i1, i2 are the resolvent sums of nu.  Floats subtract to 0 only when
-    equal, so the signs of L and A compare b with i1 and 1 with i2.
+    i1, i2 are the resolvent sums of nu.  L and A are differences of rounded
+    inputs, so each reads as 0 within ROUNDING of the terms it is computed
+    from: |b| + sum w / |x-1| for L and 1 + i2 for A.  When both would read 0
+    and nu has no atom off the origin, gamma_n = A + L n for n >= 1 and the
+    computed pair stands.  Every decision on the signs of L and A reads this
+    pair.
     """
     i1, i2 = t.nu.resolvent_integrals()
-    return t.b - i1, 1.0 - i2
+    slope, constant = t.b - i1, 1.0 - i2
+    scale = abs(t.b) + math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
+    flat_slope = not abs(slope) > ROUNDING * scale
+    flat_constant = not abs(constant) > ROUNDING * (1.0 + i2)
+    if flat_slope and flat_constant and t.nu.support_max() <= 0.0:
+        return slope, constant
+    return (0.0 if flat_slope else slope), (0.0 if flat_constant else constant)
 
 
 def gamma_growth_class(t: ScalarTriplet) -> tuple[float, int, float]:
     """(r, d, K) with gamma_n ~ K r^n n^d, from gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2.
 
     The top atom theta leads when theta > 1, else the first of c n^2, L n and
-    A with a positive coefficient, else the top atom below 1.
-
-    L and A are differences of rounded inputs: a value within ROUNDING of
-    the terms it is computed from counts as 0, as is_subnormal's tolerance
-    on b - i1 does.  So (a - 1, 0, 1 - 2a + a at 0), whose L is 0 but for
-    the rounding of 1 - 2a + a, has the class (1, 0, a) of W(a, 1), which
+    A with a positive coefficient (limit_coefficients), else the top atom
+    below 1.  So (a - 1, 0, 1 - 2a + a at 0), whose L is 0 but for the
+    rounding of 1 - 2a + a, has the class (1, 0, a) of W(a, 1), which
     wab_classify builds with L = 0 exactly.
     """
     top, mass = t.nu.atoms[-1] if t.nu.atoms else (0.0, 0.0)
     if top < 1.0:
         slope, constant = limit_coefficients(t)
-        # scales |b| + |i1| and 1 + i2 (every atom lies below 1, so i1 <= 0 <= i2)
-        leading = (
-            (2, t.c, 0.0),
-            (1, slope, abs(t.b) + abs(t.b - slope)),
-            (0, constant, 2.0 - constant),
-        )
-        for d, coeff, scale in leading:
-            if coeff > ROUNDING * scale:
+        for d, coeff in ((2, t.c), (1, slope), (0, constant)):
+            if coeff > 0.0:
                 return 1.0, d, coeff
-        if top <= 0.0:  # no atom in (0, 1): gamma_n = A + L n for n >= 1, both rounding-level
-            return next((1.0, d, coeff) for d, coeff, _ in leading if coeff > 0.0)
-    # theta > 1, or below 1 an atom in (0, 1) leads a rounding-level L and A
     return top, 0, mass / (top - 1.0) ** 2
 
 
-def _admissible_case(t: ScalarTriplet):
+def _admissible_case(t: ScalarTriplet, coefficients: tuple[float, float] | None):
     """Case row of the admissible-b table and, when decidable, the verdict.
 
     Returns (case_number, decided) with decided in {YES, NO, None}.  Only the
     rows with a closed-form endpoint -G1 = i1, the first resolvent sum, decide
-    negative b; b >= 0 is always admissible.
+    negative b; b >= 0 is always admissible.  coefficients is
+    limit_coefficients(t), read only when c = 0 and every atom lies below 1;
+    there row 3 (gamma_1 = 1 + b <= 0) is read after row 5, whose open
+    endpoint b = -1 it shares.
     """
     nu = t.nu
     theta = nu.support_max()
@@ -153,8 +154,7 @@ def _admissible_case(t: ScalarTriplet):
         return 1, (YES if t.b >= 0.0 else None)
     if t.c > 0.0:
         return 2, (YES if t.b >= 0.0 else None)
-    # here c == 0 and every atom lies in [0, 1)
-    slope_limit, gamma_limit = limit_coefficients(t)
+    slope_limit, gamma_limit = coefficients
     if gamma_limit < 0.0:
         if t.b >= 0.0:
             return 4, YES
@@ -162,6 +162,8 @@ def _admissible_case(t: ScalarTriplet):
     only_origin = len(nu.atoms) == 1 and nu.atoms[0][0] == 0.0
     if gamma_limit == 0.0 and only_origin:
         return 5, (YES if slope_limit > 0.0 else NO)
+    if t.b <= -1.0:
+        return 3, NO
     if gamma_limit == 0.0:
         return 6, (YES if slope_limit >= 0.0 else NO)
     return 7, (YES if slope_limit >= 0.0 else NO)
@@ -176,16 +178,19 @@ def validate_triplet(t: ScalarTriplet) -> Verdict:
     with witness index) is found by doubling and bisection on the O(1) kernel.
     When c = 0 and the support of nu lies in [0, 1) the first difference may
     stay negative; its limit L (limit_coefficients) then settles the verdict
-    in closed form (boundary value: gamma -> A).  Inconclusive only when gamma
-    still decreases at 2^53, past which doubles do not separate consecutive
-    indices.
+    in closed form (boundary value: gamma -> A), unless gamma_1 = 1 + b is
+    not positive, which the scan finds at its first step.  Inconclusive only
+    when gamma still decreases at 2^53, past which doubles do not separate
+    consecutive indices.
     """
     nu = t.nu
-    case, decided = _admissible_case(t)
+    limit_class = t.c == 0.0 and nu.support_max() < 1.0
+    coefficients = limit_coefficients(t) if limit_class else None
+    case, decided = _admissible_case(t, coefficients)
 
     out = None
-    if t.c == 0.0 and (nu.is_zero or nu.support_max() < 1.0):
-        slope_limit, gamma_limit = limit_coefficients(t)
+    if limit_class and t.b > -1.0:
+        slope_limit, gamma_limit = coefficients
         if slope_limit < 0.0:
             out = Verdict(
                 NO,

@@ -25,7 +25,6 @@ from .core import (
     as_sequences,
     classify_type,
     gamma_growth_class,
-    limit_coefficients,
 )
 from .measures import AtomicMeasure
 from .subnormality import B_MATCH_ATOL
@@ -39,8 +38,9 @@ GROWTH_INEQ_TAG = "growth-inequalities"
 MODEL_TAG = "model-shift"
 
 # similar reads beta_n and lambda_n at n <= WITNESS_N and decides every later
-# index in closed form
+# index in closed form; the weight band starts at BAND_N_LO
 WITNESS_N = 64
+BAND_N_LO = 32
 
 
 class ModelDegenerateError(ValueError):
@@ -135,16 +135,17 @@ def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
     """E >= sup over n >= n_from of |R_n| / K in g_n = gamma_n theta^-n = K + R_n.
 
     Here theta > 1 is the top atom, K = mass({theta}) / (theta-1)^2 and
-    R_n = (A + L n + c n^2) theta^-n + sum_{x < theta} w (x/theta)^n / (x-1)^2
-    (core.limit_coefficients), bounded with |A| and |L| widened by their
-    rounding and n^k theta^-n by _power_peak.  E is scaled by
-    1 + n_from ROUNDING for the roundings in its own terms, a power of degree
-    n_from among them, and ROUNDING is added for those in g_n, so it bounds
-    the computed weights too.
+    R_n = (A + L n + c n^2) theta^-n + sum_{x < theta} w (x/theta)^n / (x-1)^2,
+    bounded with the computed |A| and |L| widened by their rounding (a bound,
+    so not read as 0 as core.limit_coefficients does) and n^k theta^-n by
+    _power_peak.  E is scaled by 1 + n_from ROUNDING for the roundings in its
+    own terms, a power of degree n_from among them, and ROUNDING is added for
+    those in g_n, so it bounds the computed weights too.
     """
     theta, mass = t.nu.atoms[-1]
     log_theta = math.log1p(theta - 1.0)
-    slope, constant = limit_coefficients(t)
+    i1, i2 = t.nu.resolvent_integrals()
+    slope, constant = t.b - i1, 1.0 - i2
     i1_abs = math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
     coeffs = (
         abs(constant) + ROUNDING * (2.0 - constant),  # 1 + i2
@@ -210,29 +211,29 @@ def criterion_nyttrs(t: ScalarTriplet | ShiftSequences) -> Verdict:
     return Verdict(YES if limit > 0.0 else NO, "criterion_nyttrs", ENDPOINT_LIMINF_TAG, witness)
 
 
-def criterion_weight_band(t: ScalarTriplet | ShiftSequences, n_lo: int = 32) -> Verdict:
-    """Squared-weight band test on every n >= n_lo.
+def criterion_weight_band(t: ScalarTriplet | ShiftSequences) -> Verdict:
+    """Squared-weight band test on every n >= BAND_N_LO.
 
     Fits either (tau, M) with 1 + tau <= lambda_n^2 <= 1 + M, tau in (0, 1)
     and (1 - tau)(1 + M) < 1, or tau >= 1 with 1 + tau <= lambda_n^2, to the
-    band of lambda_n^2 over n >= n_lo.  The band is read at n <= WITNESS_N;
+    band of lambda_n^2 over n >= BAND_N_LO.  The band is read at n <= WITNESS_N;
     past it lambda_n^2 = theta g_{n+1} / g_n lies in
     [theta (1-E)/(1+E), theta (1+E)/(1-E)] with E from _weight_tail_error.
     Without an atom theta > 1, or with E >= 1, that tail is unbounded, the
     band is [0, inf] whatever the prefix holds, and the prefix is not read.
     Similarity depends only on the tail of the weights, so the band covers
-    every n >= n_lo and has no upper end.
+    every n >= BAND_N_LO and has no upper end.
     """
     s = as_sequences(t)
     theta = s.triplet.nu.support_max()
     err = _weight_tail_error(s.triplet, WITNESS_N + 1) if theta > 1.0 else math.inf
     lo, hi = 0.0, math.inf
     if err < 1.0:
-        # lambda_n^2 = sqrt(x)^2, monotone in the prefix ratio x (none when n_lo > WITNESS_N)
-        ratios = s._weight_squares(n_lo, WITNESS_N)
-        lo = min(theta * (1.0 - err) / (1.0 + err), math.sqrt(min(ratios, default=math.inf)) ** 2)
-        hi = max(theta * (1.0 + err) / (1.0 - err), math.sqrt(max(ratios, default=0.0)) ** 2)
-    witness = {"n_lo": n_lo, "tail_from": WITNESS_N + 1, "tail_error": err}
+        # lambda_n^2 = sqrt(x)^2, monotone in the prefix ratio x
+        ratios = s._weight_squares(BAND_N_LO, WITNESS_N)
+        lo = min(theta * (1.0 - err) / (1.0 + err), math.sqrt(min(ratios)) ** 2)
+        hi = max(theta * (1.0 + err) / (1.0 - err), math.sqrt(max(ratios)) ** 2)
+    witness = {"n_lo": BAND_N_LO, "tail_from": WITNESS_N + 1, "tail_error": err}
     witness.update({"band_min": lo, "band_max": hi})
 
     if lo >= 2.0:

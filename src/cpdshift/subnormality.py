@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import (
-    ROUNDING,
-    ScalarTriplet,
-    ShiftSequences,
-    as_sequences,
-    classify_type,
-    limit_coefficients,
-)
+from .core import ScalarTriplet, ShiftSequences, as_sequences, classify_type, limit_coefficients
 from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, Record, Verdict, _set
 
@@ -182,8 +175,8 @@ def necessary_conditions(t: ScalarTriplet | ShiftSequences) -> NecessaryReport:
     the numerators gamma_k (b_k + nu_k-total) = L + 2ck + sum w x^(k+1)/(x-1)
     and gamma_k b_k = L + 2ck + sum w x^k/(x-1) increase in k, the first to L
     or +inf, the second from b.  So (ii) fails exactly when c > 0 or L > 0,
-    with L counted as 0 within its rounding (gamma_growth_class), and (iv)
-    when b >= 0 and an atom lies in (0, 1).
+    with L as limit_coefficients reads it, and (iv) when b >= 0 and an atom
+    lies in (0, 1).
     """
     t = as_sequences(t).triplet
     if t.nu.support_max() > 1.0:
@@ -192,8 +185,7 @@ def necessary_conditions(t: ScalarTriplet | ShiftSequences) -> NecessaryReport:
             note="support of nu is not contained in [0, 1]; conditions do not apply",
         )
 
-    slope, _ = limit_coefficients(t)
-    ii = t.c == 0.0 and not slope > ROUNDING * (abs(t.b) + abs(t.b - slope))
+    ii = t.c == 0.0 and not limit_coefficients(t)[0] > 0.0
     # with no atom off the origin the sums are (L + 2ck) / gamma_k, and a valid
     # triplet with c = 0 has L >= 0: they vanish exactly when (ii) holds
     iii = ii or any(p > 0.0 for p, _ in t.nu.atoms)

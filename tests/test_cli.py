@@ -78,6 +78,13 @@ class TestClassify:
         assert code == 0
         assert doc["verdict"] == "InvalidTriplet"
 
+    @pytest.mark.parametrize("command", ("classify", "similar", "model"))
+    def test_first_gamma_zero_is_invalid(self, capsys, command):
+        # 1/(x - 1) rounds to -1, so L and A read 0, but gamma_1 = 1 + b = 0
+        code, doc = run_json(capsys, command, '{"b": -1, "c": 0, "nu": {"atoms": [[5e-324, 1]]}}')
+        assert (code, doc["verdict"]) == (0, "InvalidTriplet")
+        assert doc["valid"]["witnesses"] == {"witness_index": 1, "gamma": 0.0, "table_case": 3}
+
     def test_malformed_json_is_input_error(self, capsys):
         code = main(["classify", '{"b": nope'])
         assert code == 1

@@ -71,6 +71,11 @@ class TestValidation:
         for n in range(20):
             assert math.isclose(s.gamma(n), 0.5**n, rel_tol=1e-12)
 
+    def test_first_gamma_row_invalid(self):
+        # L = -1 and A = 0: no limit row applies, but gamma_1 = 1 + b < 0
+        v = validate_triplet(trip(-1.5, 0.0, [(0.5, 0.25)]))
+        assert v.witness == {"witness_index": 1, "gamma": -0.5, "table_case": 3}
+
     def test_below_endpoint_invalid(self):
         v = validate_triplet(trip(-0.6, 0.0, [(0.5, 0.25)]))
         assert v.is_no
@@ -108,7 +113,7 @@ def _linear_scan(t):
     value of a non-positive gamma left out."""
     pts, wts = [p for p, _ in t.nu.atoms], [w for _, w in t.nu.atoms]
     qs, g = [0.0] * len(pts), 1.0
-    case = core._admissible_case(t)[0]
+    case = core._admissible_case(t, core.limit_coefficients(t))[0]
     for n in range(10**7):
         if g <= 0.0:
             return {"witness_index": n, "table_case": case}

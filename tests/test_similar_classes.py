@@ -7,7 +7,7 @@ criterion_weight_band reads lambda_n^2 only up to WITNESS_N and encloses
 every later value in closed form; the computed ratios theta g_{n+1} / g_n
 must lie inside that enclosure, in the prefix and past it.  Subnormal shifts
 whose Berger measure lives in (0, 1) have gamma_n decaying to rounding level;
-`similar` must decide them without reading it.
+`subnormal`, `similar` and `model` must decide them without reading it.
 """
 
 import math
@@ -26,7 +26,7 @@ from cpdshift import (
     similar_by_beta,
     similarity_test,
 )
-from cpdshift.cli import similar_report
+from cpdshift.cli import model_report, similar_report, subnormal_report
 from cpdshift.core import PREFIX_WINDOW, ROUNDING
 from cpdshift.similarity import WITNESS_N
 
@@ -104,18 +104,17 @@ berger_masses = st.dictionaries(st.floats(1e-6, 0.99), st.floats(1e-3, 1.0), min
 @given(berger_masses)
 @example({0.01: 1.0})
 @example({0.35965115428494643: 1.0})
+@example({0.99: 1.0, 0.9899999999999999: 1.0})
 def test_decaying_subnormal_shifts_are_decided(masses):
-    # nu = p (x-1)^2 at each atom x of mass p and b = i1: c = 0 and A = L = 0
+    # nu = p (x-1)^2 at each atom x of mass p and b = i1: c = 0 and A = L = 0; every
+    # point is kept, since merging two points an ulp apart would move i2 off 1
     total = math.fsum(masses.values())
-    nu = AtomicMeasure.from_atoms((x, p / total * (x - 1.0) ** 2) for x, p in masses.items())
+    nu = AtomicMeasure(tuple(sorted((x, p / total * (x - 1.0) ** 2) for x, p in masses.items())))
     t = ScalarTriplet(nu.resolvent_integrals()[0], 0.0, nu)
-    try:
-        report, code = similar_report(t)
-    except RuntimeError as exc:
-        # the validation scan disagreeing with the admissible-b table is an open defect
-        assert "table case" in str(exc)
-        return
-    if report["verdict"] == "InvalidTriplet":  # 1 - i2 rounds below 0
-        return
+    report, code = similar_report(t)
     assert (report["verdict"], code) == ("Subnormal", 0)
     assert report["criteria"]["similar_by_beta"].is_yes
+    report, code = subnormal_report(t, 8, 1e-8)
+    assert (report["verdict"], code) == ("Subnormal", 0)
+    report, code = model_report(t, 32)
+    assert (report["verdict"], code) == ("Model", 0)
