@@ -16,7 +16,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, classify_type, validate_triplet
-from .quasiaffine import DEFAULT_N, INTERTWINER_RTOL, intertwiner_defect, similarity_test
+from .quasiaffine import INTERTWINER_RTOL, intertwiner_defect, similarity_test
 from .similarity import (
     MODEL_TAG,
     ModelDegenerateError,
@@ -52,52 +52,79 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+# the quoted, %-escaped text of each str met as a key or a value: the reports
+# draw both from a small fixed set, and the cap bounds what other callers add
+_TEXT: dict[str, str] = {}
+_TEXT_CAP = 1024
+
+
+def _text(s: str) -> str:
+    text = _quote(s).replace("%", "%%")
+    if len(_TEXT) < _TEXT_CAP:
+        _TEXT[s] = text
+    return text
+
+
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with every float printed to 17 significant digits.
 
     JSON-native values dispatch on their exact type; anything else prints as
     its native counterpart: subclasses of float, int, str, dict, list and tuple
     by value, report objects through their to_json, numpy scalars and arrays
-    through tolist.  dict keys print as str(key).
+    through tolist.  dict keys print as str(key).  Non-finite floats print as
+    the strings "nan", "inf" and "-inf".
+
+    One pass builds the text with a %.17g slot for each finite float, every
+    other % escaped, and one % fill prints all the floats at the end.
     """
     nl = "\n" if indent else ""
-    sep = "," + nl
+    step = " " * indent
+    floats: list[float] = []
+    texts = _TEXT
 
-    def emit(o, depth):
+    def emit(o, pad):
+        """The text of o, its closing line indented by pad."""
         kind = type(o)
         if kind is float:
             if math.isfinite(o):
-                return _fmt(o)
+                floats.append(o)
+                return "%.17g"
             return '"nan"' if math.isnan(o) else ('"inf"' if o > 0 else '"-inf"')
         if kind is str:
-            return _quote(o)
+            return texts.get(o) or _text(o)
         if kind is dict:
             if not o:
                 return "{}"
-            pad_in = " " * (indent * (depth + 1))
-            items = sep.join(
-                [f"{pad_in}{_quote(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()]
-            )
-            return "{" + nl + items + nl + " " * (indent * depth) + "}"
+            inner = pad + step
+            # a str value, the most common kind, is looked up here and not through a call
+            items = [
+                ((type(k) is str and texts.get(k)) or _text(str(k)))
+                + ": "
+                + ((type(v) is str and texts.get(v)) or emit(v, inner))
+                for k, v in o.items()
+            ]
+            return "{" + nl + inner + ("," + nl + inner).join(items) + nl + pad + "}"
         if kind is list or kind is tuple:
             if not o:
                 return "[]"
-            pad_in = " " * (indent * (depth + 1))
+            inner = pad + step
+            sep = "," + nl + inner
             # a sum is finite only if every term is
             if set(map(type, o)) == {float} and math.isfinite(sum(o)):
-                items = pad_in + (sep + pad_in).join(map(_fmt, o))
+                floats.extend(o)
+                items = "%.17g" + (sep + "%.17g") * (len(o) - 1)
             else:
-                items = sep.join([f"{pad_in}{emit(v, depth + 1)}" for v in o])
-            return "[" + nl + items + nl + " " * (indent * depth) + "]"
+                items = sep.join([emit(v, inner) for v in o])
+            return "[" + nl + inner + items + nl + pad + "]"
         if o is None:
             return "null"
         if kind is bool:
             return "true" if o else "false"
         if kind is int:
             return str(o)
-        return emit(_native(o), depth)
+        return emit(_native(o), pad)
 
-    return emit(obj, 0)
+    return emit(obj, "") % tuple(floats)
 
 
 def _native(o):
@@ -273,7 +300,9 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
     return report, EXIT_DECIDED
 
 
-def compare_report(ta: ScalarTriplet, tb: ScalarTriplet, n_max: int) -> tuple[dict, int]:
+def compare_report(
+    ta: ScalarTriplet, tb: ScalarTriplet, n_max: int | None = None
+) -> tuple[dict, int]:
     """Similarity of two triplets by their growth classes, and the intertwiner check.
 
     n_max is unused: the growth classes of two triplets need no window.
@@ -455,7 +484,7 @@ def _run_command(args) -> int:
     if args.cmd == "compare":
         ta = load_triplet(args.spec_a)
         tb = load_triplet(args.spec_b)
-        report, code = compare_report(ta, tb, DEFAULT_N)
+        report, code = compare_report(ta, tb)
         print(dumps(report, indent=2))
         return code
 

@@ -30,8 +30,6 @@ GROWTH_TAG = "moment-growth-class"
 SIMILARITY_TAG = "moment-ratio-two-sided"
 ALEVY_TAG = "unbounded-moments-vs-contractive"
 
-DEFAULT_N = 512
-
 # the intertwining identity holds when its defect is at most this times its scale
 INTERTWINER_RTOL = 1e-12
 

@@ -36,6 +36,7 @@ from cpdshift.cli import (
     main,
     model_report,
     similar_report,
+    subnormal_report,
 )
 
 ATOM2 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[2.0, 1.0]]}}'
@@ -409,6 +410,12 @@ class TestGoldenBytes:
         ("classify", "near_one", 2): "952aad24732355759ff5445251f36c90da4a12076f9a235622ccb59b8dd9c4a6",
         ("compare", "near_one", 0): "bef97fc537b97df3e5e1bc76278830307a839648bfa0bcd159939699d9f1a291",
         ("compare", "near_one", 2): "96c59009d41b3f1d92bd624bab04d34b2289bb263189c2fd3580f5c9673cd18d",
+        ("subnormal", "readme", 0): "5f7dbfbba1dae5b93afebebb1876d514ec177233ae5d185926365e3643313954",
+        ("subnormal", "readme", 2): "1cf7614d0a14330856e543b84b74c0de0fae060590833c9ad04e96b50a96a285",
+        ("subnormal", "mixed", 0): "811044edec628eaa5a2e837bec42d2c49723fd2bf890f32e37e283cf1acb46fa",
+        ("subnormal", "mixed", 2): "1d8590c6c7fa19d487a9dbadebb9dc71a1c8fee966d30c54e38318d41ea9a311",
+        ("subnormal", "near_one", 0): "bab8043c9baf6bc1dc9d967bb1f7cbd4583e08954fa8f1bda5c5199d729a9a82",
+        ("subnormal", "near_one", 2): "a4c6c38f30abb213908031b1fbed2db186c36a021cd049649d5ea9b97eaec0ce",
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -421,12 +428,26 @@ class TestGoldenBytes:
             "model": model_report(t, 32)[0],
             "classify": classify_report(t, 64)[0],
             "compare": compare_report(t, load_triplet(ATOM2), 64)[0],
+            "subnormal": subnormal_report(t, 8, 1e-8)[0],
         }
         for kind, report in reports.items():
             for indent in (0, 2):
                 text = dumps(report, indent=indent)
                 digest = hashlib.sha256(text.encode()).hexdigest()
                 assert digest == self.DIGESTS[kind, name, indent], (kind, indent)
+
+    # a --batch error line whose message echoes the % of its spec
+    PERCENT_LINE = "83b222439845d196fec2a7ec66ad6134bd4f244040ab9d35799325a78b961ebe"
+
+    def test_batch_error_line_echoes_percent(self, capsys, tmp_path):
+        import hashlib
+
+        batch = tmp_path / "specs.jsonl"
+        batch.write_text('{"b": "5%", "c": 0.0, "nu": {"atoms": [[2.0, 1.0]]}}\n')
+        code, out = run(capsys, "similar", "--batch", str(batch))
+        assert code == 1
+        assert "5%" in json.loads(out)["error"]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PERCENT_LINE
 
     EDGES = {
         "f": np.float64(0.1),
