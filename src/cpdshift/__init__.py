@@ -19,11 +19,8 @@ from .core import (
 from .measures import AtomicMeasure, ResolventIntegrals, point_mass, zero_measure
 from .qpoly import q_poly
 from .quasiaffine import (
-    alevy_scenario,
-    intertwiner_check,
     intertwiner_defect,
     quasi_affine_test,
-    shift_matrix,
     similarity_test,
 )
 from .similarity import (
@@ -97,7 +94,6 @@ __all__ = [
     "Verdict",
     "WabClassification",
     "YES",
-    "alevy_scenario",
     "b2_identity_check",
     "berger_measure",
     "classify_type",
@@ -110,7 +106,6 @@ __all__ = [
     "example_t0",
     "generate_3uwre",
     "hankel_psd_oracle",
-    "intertwiner_check",
     "intertwiner_defect",
     "is_subnormal",
     "model_subnormal",
@@ -118,7 +113,6 @@ __all__ = [
     "point_mass",
     "q_poly",
     "quasi_affine_test",
-    "shift_matrix",
     "similar_by_beta",
     "similarity_test",
     "validate_triplet",

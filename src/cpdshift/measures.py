@@ -14,10 +14,6 @@ from collections.abc import Iterable
 from .qpoly import q_poly
 from .verdict import Record, _set
 
-# Points that collide within this relative distance after a pushforward are
-# merged into a single atom.
-MERGE_RTOL = 1e-12
-
 
 ResolventIntegrals = namedtuple("ResolventIntegrals", ("i1", "i2"))
 ResolventIntegrals.__doc__ = """sum w/(x-1) and sum w/(x-1)^2 over the atoms.
@@ -61,11 +57,10 @@ class AtomicMeasure(Record):
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, float]]) -> "AtomicMeasure":
-        """Build a measure from unordered pairs, merging nearly equal points."""
-        items = sorted((float(p), float(m)) for p, m in pairs)
+        """Build a measure from unordered pairs, summing the masses at equal points."""
         merged: list[list[float]] = []
-        for point, mass in items:
-            if merged and point - merged[-1][0] <= MERGE_RTOL * max(1.0, abs(point)):
+        for point, mass in sorted((float(p), float(m)) for p, m in pairs):
+            if merged and point == merged[-1][0]:
                 merged[-1][1] += mass
             else:
                 merged.append([point, mass])

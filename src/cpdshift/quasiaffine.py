@@ -18,17 +18,14 @@ a finite truncation, accepts one.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from .core import ScalarTriplet, ShiftSequences, as_sequences, gamma_growth_class
 from .measures import AtomicMeasure
 from .similarity import ModelShift
-from .subnormality import is_subnormal
 from .verdict import NO, YES, Verdict
 
 GROWTH_TAG = "moment-growth-class"
 SIMILARITY_TAG = "moment-ratio-two-sided"
-ALEVY_TAG = "unbounded-moments-vs-contractive"
 
 # the intertwining identity holds when its defect is at most this times its scale
 INTERTWINER_RTOL = 1e-12
@@ -106,16 +103,6 @@ def similarity_test(lam_hat, om_hat) -> Verdict:
     return Verdict(outcome, "similarity_test", SIMILARITY_TAG, witness)
 
 
-def shift_matrix(weights: Sequence[float], size: int):
-    """Truncated weighted shift: entry (n+1, n) is the n-th weight, as a numpy array."""
-    import numpy as np
-
-    mat = np.zeros((size, size))
-    for n in range(size - 1):
-        mat[n + 1, n] = weights[n]
-    return mat
-
-
 def intertwiner_defect(lam_hat, om_hat, m: int = 32):
     """Max entry of X W_lam - W_om X for the diagonal ratio intertwiner X.
 
@@ -131,44 +118,3 @@ def intertwiner_defect(lam_hat, om_hat, m: int = 32):
     defect = max([0.0] + [abs(a - b) for a, b in zip(lhs, rhs)])
     scale = max([1e-300] + [abs(v) for v in lhs + rhs])
     return defect, scale
-
-
-def intertwiner_check(lam_hat, om_hat, m: int = 32, rtol: float = INTERTWINER_RTOL) -> bool:
-    """The diagonal sqrt-moment-ratio operator intertwines the two shifts."""
-    defect, scale = intertwiner_defect(lam_hat, om_hat, m)
-    return defect <= rtol * scale
-
-
-def alevy_scenario(t: ScalarTriplet | ShiftSequences, berger: AtomicMeasure) -> dict:
-    """Quasi-affinity of a non-subnormal shift against a subnormal one, both ways.
-
-    Forward direction (contractive Berger measure, support in [0, 1]): the
-    formal moments of the non-subnormal shift grow without bound while the
-    subnormal moments stay <= 1, so the ratio decays to 0.  Reverse direction
-    (Berger support strictly above the support of nu, both above 1): the
-    opposite ratio decays geometrically.  The growth classes decide both:
-    "growth" holds t's class and whether it exceeds (1, 0), "forward" is
-    quasi_affine_test(t, berger) and "reverse" quasi_affine_test(berger, t).
-    """
-    seqs = as_sequences(t)
-    t = seqs.triplet
-    if is_subnormal(seqs).is_yes:
-        raise ValueError("scenario requires a non-subnormal shift")
-
-    # a measure with no positive point reads as contractive, and quasi_affine_test rejects it
-    contractive = berger.support_max() <= 1.0
-    reverse_applicable = 1.0 < t.nu.support_max() < berger.support_min()
-    if not contractive and not reverse_applicable:
-        raise ValueError("Berger measure is neither contractive nor supported strictly above nu")
-
-    growth = growth_class(seqs)
-    report: dict = {
-        "criterion": "alevy_scenario",
-        "citation": ALEVY_TAG,
-        "growth": {"class": growth, "unbounded": growth[:2] > (1.0, 0)},
-    }
-    if contractive:
-        report["forward"] = quasi_affine_test(seqs, berger)
-    if reverse_applicable:
-        report["reverse"] = quasi_affine_test(berger, seqs)
-    return report

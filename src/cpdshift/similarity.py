@@ -398,15 +398,6 @@ class ModelShift(Record):
         _set(self, "mu0", mu0)
         _set(self, "berger", berger)
 
-    def moment(self, n: int) -> float:
-        return self.berger.moment(n)
-
-    def log_moment(self, n: int) -> float:
-        return self.berger.log_moment(n)
-
-    def weight(self, n: int) -> float:
-        return math.exp(0.5 * (self.log_moment(n + 1) - self.log_moment(n)))
-
     def moments(self, count: int) -> list[float]:
         return self.berger.moments(count)
 

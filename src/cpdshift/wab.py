@@ -173,13 +173,9 @@ def _case_one(b, c, alpha, point) -> GrowthFamilyExample:
     if alpha is None:
         if c < 1.0:
             alpha = max(1.0, (b - 2.0 * c) / (1.0 - c))
-        elif c == 1.0:
-            if b > 2.0 * c:
-                raise ValueError("empty window: c = 1 requires b <= 2c")
-            alpha = 1.0
+        elif b > c + 1.0:
+            raise ValueError("empty window: c >= 1 requires b <= c + 1")
         else:
-            if b > c + 1.0:
-                raise ValueError("empty window: c > 1 requires b <= c + 1")
             alpha = 1.0
         alpha = _bump_to_boundary(
             alpha, lambda a: a >= 1.0 and 2.0 * c + a * (1.0 - c) >= b

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cpdshift import (
     AtomicMeasure,
@@ -34,6 +35,31 @@ def random_type_iii_triplet(rng) -> ScalarTriplet:
     t = ScalarTriplet(b, c, nu)
     assert validate_triplet(t).is_yes
     return t
+
+
+atoms = st.lists(
+    st.tuples(
+        st.floats(0.0, 20.0).filter(lambda x: x != 1.0),
+        st.floats(-14.0, 2.0).map(lambda e: 10**e),
+    ),
+    max_size=3,
+)
+# an atom 1e-9..1e-2 from 1, on either side, with mass 1e-14..1
+near_one = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-9.0, -2.0), st.floats(-14.0, 0.0))
+
+
+@st.composite
+def triplets(draw):
+    """Triplets with steep and shallow slopes, some with an atom next to 1; not all valid."""
+    pairs = draw(atoms)
+    near = draw(st.none() | near_one)
+    if near is not None:
+        side, log_d, log_w = near
+        pairs.append((1.0 + side * 10**log_d, 10**log_w))
+    c = draw(st.just(0.0) | st.floats(0.0, 2.0))
+    # steep slopes, and slopes as shallow as -1e-9
+    b = draw(st.floats(-2.0, 2.0) | st.floats(-9.0, 0.0).map(lambda e: -(10**e)))
+    return ScalarTriplet(b, c, AtomicMeasure.from_atoms(pairs))
 
 
 def wab_grid_triplets():

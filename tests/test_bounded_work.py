@@ -8,8 +8,8 @@ for every triplet, whatever its slope or its distance of the top atom to 1.
 import math
 from unittest import mock
 
+from conftest import triplets
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from cpdshift import AtomicMeasure, ScalarTriplet, ShiftSequences, core
 from cpdshift.cli import model_report, similar_report
@@ -23,29 +23,6 @@ MAX_PREFIX = 2 * core.FIRST_BLOCK
 # every read checks the betas it returns and no others: the witness betas and
 # beta_1 for each type check
 MAX_CHECKED = (WITNESS_N + 1) + 2
-
-atoms = st.lists(
-    st.tuples(
-        st.floats(0.0, 20.0).filter(lambda x: x != 1.0),
-        st.floats(-14.0, 2.0).map(lambda e: 10**e),
-    ),
-    max_size=3,
-)
-# an atom 1e-9..1e-2 from 1, on either side, with mass 1e-14..1
-near_one = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-9.0, -2.0), st.floats(-14.0, 0.0))
-
-
-@st.composite
-def triplets(draw):
-    pairs = draw(atoms)
-    near = draw(st.none() | near_one)
-    if near is not None:
-        side, log_d, log_w = near
-        pairs.append((1.0 + side * 10**log_d, 10**log_w))
-    c = draw(st.just(0.0) | st.floats(0.0, 2.0))
-    # steep slopes, and slopes as shallow as -1e-9
-    b = draw(st.floats(-2.0, 2.0) | st.floats(-9.0, 0.0).map(lambda e: -(10**e)))
-    return ScalarTriplet(b, c, AtomicMeasure.from_atoms(pairs))
 
 
 def trip(b, c, pairs):

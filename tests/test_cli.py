@@ -12,7 +12,6 @@ from cpdshift import (
     INCONCLUSIVE,
     YES,
     Verdict,
-    alevy_scenario,
     b2_identity_check,
     classify_type,
     core,
@@ -601,7 +600,7 @@ class TestSharedSequences:
         criterion_ineqsuf,
         model_subnormal,
         b2_identity_check,
-        lambda s: alevy_scenario(s, point_mass(0.5)),
+        lambda s: quasi_affine_test(s, point_mass(0.5)),
     )
 
     @staticmethod

@@ -9,10 +9,10 @@ from cpdshift import (
     InvalidTripletError,
     ScalarTriplet,
     ShiftSequences,
-    alevy_scenario,
     classify_type,
     core,
     point_mass,
+    quasi_affine_test,
     validate_triplet,
 )
 from cpdshift.cli import model_report, similar_report
@@ -319,8 +319,8 @@ class TestPrefix:
 
         monkeypatch.setattr(core.ShiftSequences, "__init__", recording)
         # the ratio 1 / (1 + 1e-9 n) tends to 0: the growth classes decide it, no index is read
-        report = alevy_scenario(trip(1e-9, 0.0), point_mass(1.0, 1.0))
-        assert report["forward"].witness["limit_ratio"] == 0.0
+        forward = quasi_affine_test(trip(1e-9, 0.0), point_mass(1.0, 1.0))
+        assert forward.witness["limit_ratio"] == 0.0
         assert built and all(len(b._prefix) == 0 for b in built)
 
 

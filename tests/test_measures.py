@@ -113,10 +113,19 @@ class TestPushforwards:
         assert m.pushforward_square().atoms == ((0.0625, 1.0), (0.25, 1.0))
 
     def test_square_merges_collisions(self):
-        m = AtomicMeasure(((0.5, 1.0), (0.5 * (1 + 1e-14), 2.0)))
-        sq = m.pushforward_square()
-        assert len(sq.atoms) == 1
-        assert math.isclose(sq.atoms[0][1], 3.0)
+        # both squares underflow to 0.0
+        m = AtomicMeasure(((1e-200, 1.0), (2e-200, 2.0)))
+        assert m.pushforward_square().atoms == ((0.0, 3.0),)
+
+    def test_sqrt_merges_exact_collisions(self):
+        # sqrt(1 + 2^-52) rounds to 1.0
+        m = AtomicMeasure(((1.0, 1.0), (math.nextafter(1.0, 2.0), 2.0)))
+        assert m.pushforward_sqrt().atoms == ((1.0, 3.0),)
+
+    def test_distinct_points_stay_apart(self):
+        x = 1.0000000000001
+        m = AtomicMeasure.from_atoms([(x, 1.0), (1.0, 1.0), (x, 0.5)])
+        assert m.atoms == ((1.0, 1.0), (x, 1.5))
 
 
 class TestNormalize:

@@ -2,24 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_type_iii_triplet
+from hypothesis import assume, given, settings
+from conftest import random_type_iii_triplet, triplets
 
 from cpdshift import (
     AtomicMeasure,
     ScalarTriplet,
-    alevy_scenario,
-    intertwiner_check,
+    ShiftSequences,
+    classify_type,
     intertwiner_defect,
+    is_subnormal,
+    model_subnormal,
     point_mass,
     quasi_affine_test,
-    shift_matrix,
+    similar_by_beta,
     similarity_test,
     wab_classify,
     zero_measure,
 )
 from cpdshift.cli import compare_report, load_triplet
 from cpdshift.core import validate_triplet
-from cpdshift.quasiaffine import growth_class
+from cpdshift.quasiaffine import INTERTWINER_RTOL, growth_class
 
 ISO = ScalarTriplet(0.0, 0.0, zero_measure())
 TWO_ISO = ScalarTriplet(1.0, 0.0, zero_measure())  # moments 1 + n
@@ -55,7 +58,18 @@ class TestQuasiAffine:
                     test(*pair)
         with pytest.raises(TypeError, match=type(weights).__name__):
             growth_class(weights)
-        assert intertwiner_check(weights, weights)
+        defect, scale = intertwiner_defect(weights, weights)
+        assert defect <= INTERTWINER_RTOL * scale
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(triplets())
+def test_type_iii_is_quasi_affine_transform_of_its_model(t):
+    # the defect moments gamma_n beta_n grow no faster than gamma_n
+    assume(validate_triplet(t).is_yes)
+    s = ShiftSequences(t)
+    assume(classify_type(s).kind == "III")
+    assert quasi_affine_test(s, model_subnormal(s)).is_yes
 
 
 class TestSimilarity:
@@ -76,8 +90,6 @@ class TestSimilarity:
     def test_certified_shift_similar_to_its_model(self):
         # moment ratio against the model shift is beta_n / mu0-total, which a
         # certified floor bounds away from 0
-        from cpdshift import model_subnormal, similar_by_beta
-
         t = trip(0.1, 0.2, [(0.5, 0.4), (2.5, 0.9)])
         assert similar_by_beta(t).is_yes
         model = model_subnormal(t)
@@ -219,7 +231,8 @@ class TestGrowthClass:
 
 class TestIntertwiner:
     def test_identity_pair(self):
-        assert intertwiner_check(ISO, ISO)
+        defect, scale = intertwiner_defect(ISO, ISO)
+        assert defect <= INTERTWINER_RTOL * scale
 
     def test_random_pairs_exact(self, rng):
         for _ in range(10):
@@ -230,14 +243,15 @@ class TestIntertwiner:
 
     def test_holds_regardless_of_boundedness(self):
         # ratio unbounded, but the algebraic identity still holds entrywise
-        assert intertwiner_check([math.sqrt(2.0)] * 40, [1.0] * 40)
+        defect, scale = intertwiner_defect([math.sqrt(2.0)] * 40, [1.0] * 40)
+        assert defect <= INTERTWINER_RTOL * scale
 
     def test_perturbed_diagonal_fails(self):
         lam = [1.0] * 40
         om = [1.2] * 40
         size = 33
-        w_l = shift_matrix(lam, size)
-        w_o = shift_matrix(om, size)
+        w_l = np.diag(lam[: size - 1], -1)
+        w_o = np.diag(om[: size - 1], -1)
         diag = [1.0]  # sqrt of the moment ratio: the product of the weight ratios
         for n in range(size - 1):
             diag.append(diag[-1] * om[n] / lam[n])
@@ -249,31 +263,29 @@ class TestIntertwiner:
 
 
 class TestAlevyScenario:
+    """A non-subnormal shift against a subnormal one, both ways.
+
+    Forward (contractive Berger measure): the non-subnormal moments grow
+    without bound while the subnormal ones stay at most 1, so the ratio
+    decays to 0.  Reverse (Berger support strictly above that of nu, both
+    above 1): the opposite ratio decays geometrically.
+    """
+
     def test_two_isometry_vs_unweighted_shift(self):
-        report = alevy_scenario(TWO_ISO, point_mass(1.0, 1.0))
-        assert report["growth"] == {"class": growth_class(TWO_ISO), "unbounded": True}
-        assert report["forward"] == quasi_affine_test(TWO_ISO, point_mass(1.0, 1.0))
-        assert report["forward"].is_yes and report["forward"].witness["limit_ratio"] == 0.0
-        assert "reverse" not in report
+        assert not is_subnormal(TWO_ISO).is_yes
+        assert growth_class(TWO_ISO)[:2] > (1.0, 0)
+        forward = quasi_affine_test(TWO_ISO, point_mass(1.0, 1.0))
+        assert forward.is_yes and forward.witness["limit_ratio"] == 0.0
 
     def test_quadratic_vs_bernoulli_berger(self):
         berger = AtomicMeasure(((0.0, 0.5), (1.0, 0.5)))
-        report = alevy_scenario(trip(0.0, 1.0), berger)
-        assert report["growth"]["class"][:2] == (1.0, 2) and report["growth"]["unbounded"]
-        assert report["forward"].witness["limit_ratio"] == 0.0
+        t = trip(0.0, 1.0)
+        assert not is_subnormal(t).is_yes
+        assert growth_class(t)[:2] == (1.0, 2)
+        assert quasi_affine_test(t, berger).witness["limit_ratio"] == 0.0
 
     def test_reverse_direction(self):
         t, berger = trip(0.0, 0.0, [(1.5, 1.0)]), point_mass(2.0, 1.0)
-        report = alevy_scenario(t, berger)
-        assert report["reverse"] == quasi_affine_test(berger, t)
-        assert report["reverse"].is_yes and report["reverse"].witness["limit_ratio"] == 0.0
-        assert "forward" not in report
-
-    def test_rejects_subnormal_input(self):
-        with pytest.raises(ValueError, match="non-subnormal"):
-            alevy_scenario(wab_classify(0.5, 1.0).triplet, point_mass(1.0, 1.0))
-
-    def test_rejects_unrelated_berger(self):
-        # neither contractive nor supported above nu
-        with pytest.raises(ValueError, match="neither"):
-            alevy_scenario(trip(0.0, 0.0, [(3.0, 1.0)]), point_mass(2.0, 1.0))
+        assert not is_subnormal(t).is_yes
+        reverse = quasi_affine_test(berger, t)
+        assert reverse.is_yes and reverse.witness["limit_ratio"] == 0.0

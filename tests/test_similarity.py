@@ -9,6 +9,7 @@ from cpdshift import (
     ScalarTriplet,
     ShiftSequences,
     b2_identity_check,
+    berger_measure,
     criterion_ineqsuf,
     criterion_kdwq,
     criterion_nyttrs,
@@ -16,6 +17,7 @@ from cpdshift import (
     classify_type,
     core,
     defect_moment_measure,
+    is_subnormal,
     model_subnormal,
     similar_by_beta,
     wab_classify,
@@ -194,9 +196,10 @@ class TestModelShift:
         model = model_subnormal(trip(0.0, 0.0, [(4.0, 1.0)]))
         assert model.mu0.atoms == ((4.0, 1.0),)
         assert model.berger.atoms == ((4.0, 1.0),)
+        moments, weights = model.moments(5), model.weights(5)
         for n in range(5):
-            assert model.moment(n) == 4.0**n
-            assert math.isclose(model.weight(n), 2.0, rel_tol=1e-12)
+            assert moments[n] == 4.0**n
+            assert math.isclose(weights[n], 2.0, rel_tol=1e-12)
 
     def test_c_adds_unit_atom(self):
         model = model_subnormal(trip(0.0, 0.5, [(4.0, 1.0)]))
@@ -213,6 +216,29 @@ class TestModelShift:
         model = model_subnormal(trip(0.2, 0.3, [(0.5, 1.0), (2.5, 0.7)]))
         roundtrip = model.berger.pushforward_sqrt().pushforward_square()
         assert roundtrip.approx_equal(model.berger, 1e-12)
+
+
+class TestAtomNextToOne:
+    """An atom of nu 1e-13 from 1 stays apart from the atom at 1 (2c's or the Berger's)."""
+
+    X = 1.0000000000001
+
+    def test_defect_floor_reads_the_top_atom(self):
+        v = similar_by_beta(trip(0.0, 0.5, [(self.X, 1.0)]))
+        assert v.is_yes
+        assert v.witness["class_defect"] == (self.X, 0, 1.0)
+
+    def test_model_keeps_both_atoms(self):
+        model = model_subnormal(trip(0.0, 0.5, [(self.X, 1.0)]))
+        assert model.mu0.atoms == ((1.0, 1.0), (self.X, 1.0))
+        assert model.berger.atoms == ((1.0, 0.5), (self.X, 0.5))
+
+    def test_berger_measure_below_one(self):
+        x = 0.9999999999999
+        w = 0.5 * (x - 1.0) ** 2
+        t = ScalarTriplet(w / (x - 1.0), 0.0, AtomicMeasure(((x, w),)))
+        assert is_subnormal(t).is_yes
+        assert berger_measure(t).atoms == ((x, 0.5), (1.0, 0.5))
 
 
 class TestDefectMomentIdentity:
@@ -239,10 +265,11 @@ class TestDefectMomentIdentity:
         s = ShiftSequences(t)
         model = model_subnormal(s)
         total = model.mu0.total_mass()
+        weights = model.weights(33)
         acc = 1.0
         for n in range(33):
             assert math.isclose(s.gamma(n) * s.beta(n), total * acc, rel_tol=1e-9)
-            acc *= model.weight(n) ** 2
+            acc *= weights[n] ** 2
 
 
 class TestCriteriaConsistency:
