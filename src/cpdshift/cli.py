@@ -227,8 +227,7 @@ def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[d
 def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, int]:
     """Type, subnormality, necessary conditions and similarity criteria of t.
 
-    n_max is unused: every criterion decides the indices past its read prefix
-    in closed form.
+    n_max is unused: every criterion decides every index in closed form.
     """
     report, seqs, code = _validated_header(t, "similar")
     if seqs is None:

@@ -34,8 +34,8 @@ from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Record, Verdict, _set
 
 # g_n is kept for n < PREFIX_WINDOW, so long scans hold no more memory; blocks end
-# at FIRST_BLOCK 2^k: 68 entries hold g_0 .. g_67, all that the 65 witness betas
-# of `similar` and the 66 gamma values its reports read.
+# at FIRST_BLOCK 2^k: the first block holds the g_1 .. g_3 that the beta_1 of a type
+# check reads, and two blocks the g_0 .. g_66 of `classify`'s default 65 betas.
 PREFIX_WINDOW = 4096
 FIRST_BLOCK = 34
 

@@ -10,8 +10,8 @@ model.  The other negative certificates live elsewhere: the type I/II
 dichotomy and the necessary conditions.
 
 Changing finitely many weights gives a similar shift, so no criterion takes
-a window: each reads n <= WITNESS_N and decides every later index in closed
-form.
+a window: each decides every index in closed form from (b, c, nu) and reads
+no beta_n or lambda_n.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ WEIGHT_BAND_TAG = "weight-band"
 GROWTH_INEQ_TAG = "growth-inequalities"
 MODEL_TAG = "model-shift"
 
-# similar reads beta_n and lambda_n at n <= WITNESS_N and decides every later
-# index in closed form; the weight band starts at BAND_N_LO
+# no criterion reads beta_n or lambda_n: the defect floor holds from n = 0 and
+# the weight band covers n >= BAND_N_LO; the floor is checked against the
+# computed beta_0 .. beta_WITNESS_N
 WITNESS_N = 64
 BAND_N_LO = 32
 
@@ -59,7 +60,7 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
     defect measure that is zero (type I) or lives at the origin (type II,
     beta_n = 0 from n = 1), is a definitive "no".  A positive limit is a
     "yes" once a floor is certified.  With an atom of nu above 1 the floor
-    is the least of beta_0 .. beta_WITNESS_N and, past them, _tail_floor.
+    is _tail_floor from n = 0, which holds for every n, so no beta_n is read.
     Without one the limit is positive only when c = 0 and A = L = 0 (within
     their rounding), and then beta_n is a convex combination of the
     (1 - x)^2 over the atoms: the least of them floors every beta_n.
@@ -86,20 +87,8 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
         witness["eps"] = min((1.0 - p) ** 2 for p, _ in t.nu.atoms)
         return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
 
-    betas = s.betas(WITNESS_N + 1)
-    prefix_min = min(betas)
-    tail = _tail_floor(t, WITNESS_N + 1)
-    eps = min(prefix_min, tail)
-    witness.update(
-        {
-            "prefix_min": prefix_min,
-            "prefix_argmin": betas.index(prefix_min),
-            "scanned_to": WITNESS_N,
-            "tail_floor": tail,
-            "tail_from": WITNESS_N + 1,
-            "eps": eps,
-        }
-    )
+    eps = _tail_floor(t, 0)
+    witness.update({"tail_from": 0, "eps": eps})
     if eps > 0.0:
         return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
     note = "certified floor underflows to 0"
@@ -216,24 +205,20 @@ def criterion_weight_band(t: ScalarTriplet | ShiftSequences) -> Verdict:
 
     Fits either (tau, M) with 1 + tau <= lambda_n^2 <= 1 + M, tau in (0, 1)
     and (1 - tau)(1 + M) < 1, or tau >= 1 with 1 + tau <= lambda_n^2, to the
-    band of lambda_n^2 over n >= BAND_N_LO.  The band is read at n <= WITNESS_N;
-    past it lambda_n^2 = theta g_{n+1} / g_n lies in
+    band of lambda_n^2 over n >= BAND_N_LO.  No weight is read: every
+    lambda_n^2 = theta g_{n+1} / g_n there lies in
     [theta (1-E)/(1+E), theta (1+E)/(1-E)] with E from _weight_tail_error.
-    Without an atom theta > 1, or with E >= 1, that tail is unbounded, the
-    band is [0, inf] whatever the prefix holds, and the prefix is not read.
+    Without an atom theta > 1, or with E >= 1, the band is [0, inf].
     Similarity depends only on the tail of the weights, so the band covers
     every n >= BAND_N_LO and has no upper end.
     """
-    s = as_sequences(t)
-    theta = s.triplet.nu.support_max()
-    err = _weight_tail_error(s.triplet, WITNESS_N + 1) if theta > 1.0 else math.inf
+    t = as_sequences(t).triplet
+    theta = t.nu.support_max()
+    err = _weight_tail_error(t, BAND_N_LO) if theta > 1.0 else math.inf
     lo, hi = 0.0, math.inf
     if err < 1.0:
-        # lambda_n^2 = sqrt(x)^2, monotone in the prefix ratio x
-        ratios = s._weight_squares(BAND_N_LO, WITNESS_N)
-        lo = min(theta * (1.0 - err) / (1.0 + err), math.sqrt(min(ratios)) ** 2)
-        hi = max(theta * (1.0 + err) / (1.0 - err), math.sqrt(max(ratios)) ** 2)
-    witness = {"n_lo": BAND_N_LO, "tail_from": WITNESS_N + 1, "tail_error": err}
+        lo, hi = theta * (1.0 - err) / (1.0 + err), theta * (1.0 + err) / (1.0 - err)
+    witness = {"n_lo": BAND_N_LO, "tail_from": BAND_N_LO, "tail_error": err}
     witness.update({"band_min": lo, "band_max": hi})
 
     if lo >= 2.0:
@@ -244,11 +229,7 @@ def criterion_weight_band(t: ScalarTriplet | ShiftSequences) -> Verdict:
     if 0.0 < tau < 1.0 and m > 0.0 and (1.0 - tau) * (1.0 + m) < 1.0:
         witness.update({"family": "pinched-band", "tau": tau, "M": m})
         return Verdict(YES, "criterion_weight_band", WEIGHT_BAND_TAG, witness)
-    note = (
-        "no closed-form bound on the weights past the read prefix"
-        if hi == math.inf
-        else "no admissible band over the window"
-    )
+    note = "no closed-form bound on the weights" if hi == math.inf else "no admissible band"
     return Verdict(INCONCLUSIVE, "criterion_weight_band", WEIGHT_BAND_TAG, witness, note=note)
 
 

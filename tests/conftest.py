@@ -31,7 +31,11 @@ def random_type_iii_triplet(rng) -> ScalarTriplet:
     b = float(rng.uniform(0.0, 2.0))
     if rng.random() < 0.2 and c == 0.0 and nu.support_max() < 1.0:
         i1, _ = nu.resolvent_integrals()
-        b = 0.5 * i1  # halfway into the negative admissible range
+        b = 0.5 * i1  # halfway into the negative range that L = b - i1 > 0 allows
+        # gamma_1 = 1 + b and other early gamma_n can still be negative there; each
+        # gamma_n (n >= 1) grows with b and b = 0 is admissible, so move b towards 0
+        while not validate_triplet(ScalarTriplet(b, c, nu)).is_yes:
+            b *= 0.5
     t = ScalarTriplet(b, c, nu)
     assert validate_triplet(t).is_yes
     return t

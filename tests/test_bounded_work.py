@@ -1,8 +1,9 @@
 """Seeded property test: similar and model reports finish after bounded work.
 
 Validation makes O(log n) kernel evaluations up to the index limit 2^53, and
-the reports read betas and gammas at n <= 65 only, so the counts below hold
-for every triplet, whatever its slope or its distance of the top atom to 1.
+the reports read beta_1 of their type checks and no other beta or gamma, so the
+counts below hold for every triplet, whatever its slope or its distance of the
+top atom to 1.
 """
 
 import math
@@ -13,16 +14,15 @@ from hypothesis import example, given, settings
 
 from cpdshift import AtomicMeasure, ScalarTriplet, ShiftSequences, core
 from cpdshift.cli import model_report, similar_report
-from cpdshift.similarity import WITNESS_N
 
 N_SCAN, N_MODEL = 512, 32
 # two validations, each at most 4 kernel calls per doubling of the exit index, up to 2^53
 MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
-# the prefix the 65 witness betas (g_n to n = 66) need: two blocks
-MAX_PREFIX = 2 * core.FIRST_BLOCK
-# every read checks the betas it returns and no others: the witness betas and
-# beta_1 for each type check
-MAX_CHECKED = (WITNESS_N + 1) + 2
+# beta_1 reads g_1 .. g_3: the first block
+MAX_PREFIX = core.FIRST_BLOCK
+# every read checks the betas it returns and no others: beta_1 for each type check,
+# one in each report and one more in the dichotomy check of a type I or II similar
+MAX_CHECKED = 3
 
 
 def trip(b, c, pairs):

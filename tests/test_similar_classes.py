@@ -3,9 +3,10 @@
 similar_by_beta decides lim beta_n from the growth classes of the defect
 measure and of gamma; on the triplets where that decision is definitive it
 must agree with the two-sided moment-ratio test against the model shift.
-criterion_weight_band reads lambda_n^2 only up to WITNESS_N and encloses
-every later value in closed form; the computed ratios theta g_{n+1} / g_n
-must lie inside that enclosure, in the prefix and past it.  Subnormal shifts
+Neither it nor criterion_weight_band reads a beta_n or lambda_n: the defect
+floor from n = 0 must lie below every computed beta_n, and the computed
+ratios theta g_{n+1} / g_n from BAND_N_LO on must lie inside the closed-form
+weight enclosure, in the prefix and past it.  Subnormal shifts
 whose Berger measure lives in (0, 1) have gamma_n decaying to rounding level;
 `subnormal`, `similar` and `model` must decide them without reading it.
 """
@@ -28,7 +29,7 @@ from cpdshift import (
 )
 from cpdshift.cli import model_report, similar_report, subnormal_report
 from cpdshift.core import PREFIX_WINDOW, ROUNDING
-from cpdshift.similarity import WITNESS_N
+from cpdshift.similarity import BAND_N_LO, WITNESS_N, _tail_floor
 
 # an atom anywhere in [0, 20], or 1e-9..1e-1 from 1 on either side
 points = st.floats(0.0, 20.0) | st.tuples(
@@ -91,9 +92,25 @@ def test_weights_lie_in_the_tail_enclosure(t):
     if err >= 1.0:
         return  # the enclosure is unbounded
     lo, hi = theta * (1.0 - err) / (1.0 + err), theta * (1.0 + err) / (1.0 - err)
-    ratios = s._weight_squares(WITNESS_N + 1, PREFIX_WINDOW - 2)
+    ratios = s._weight_squares(BAND_N_LO, PREFIX_WINDOW - 2)
     ratios += [theta * s._g(n + 1) / s._g(n) for n in (10**4, 10**6)]
     assert all(lo <= r <= hi for r in ratios), (lo, hi, min(ratios), max(ratios))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(triplets())
+@example(trip(0.0, 0.0, [(4.0, 1.0)]))
+@example(trip(0.5, 0.25, [(0.5, 1.0), (1.0 + 7.5e-9, 0.5)]))
+@example(trip(2.0, 2.0, [(1.0 + 1e-9, 10.0)]))
+def test_defect_floor_lies_below_every_beta(t):
+    s = sequences(t)
+    assume(t.nu.support_max() > 1.0)
+    eps = _tail_floor(t, 0)
+    betas = s.betas(WITNESS_N + 1)
+    # far out from the closed form alone: the weight route that beta checks it
+    # against loses ~n log(theta) ulps to cancellation
+    betas += [math.exp(s.defect_measure.log_moment(n) - s.log_gamma(n)) for n in (10**4, 10**6)]
+    assert all(eps <= beta for beta in betas), (eps, min(betas))
 
 
 # a Berger probability measure on (0, 1), as unnormalized masses at up to three points

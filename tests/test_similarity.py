@@ -23,7 +23,6 @@ from cpdshift import (
     wab_classify,
 )
 from cpdshift.cli import similar_report
-from cpdshift.similarity import WITNESS_N
 
 
 def trip(b, c, atoms=()):
@@ -67,37 +66,32 @@ class TestSimilarByBeta:
 
 
 class TestTailFloor:
-    """The closed-form floor covers every n past the scan, whatever theta is."""
+    """The closed-form floor covers every n >= 0, whatever theta is."""
 
     THETAS = (1.0 + 7.5e-9, 1.0 + 3e-7, 1.0 + 1e-5, 1.004, 2.0, 20.0)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_scan_reads_the_prefix_only(self, theta, monkeypatch):
-        s = ShiftSequences(trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)]))
-        checked = []
-        check = core._checked_betas
+        # the similar report reads the prefix only for the beta_1 of its type check
+        t = trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)])
+        checked, built = [], []
+        check, init = core._checked_betas, ShiftSequences.__init__
 
         def counting(start, defect, theta, g):
             checked.extend(range(start, start + len(g) - 2))
             return check(start, defect, theta, g)
 
-        monkeypatch.setattr(core, "_checked_betas", counting)
-        v = similar_by_beta(s)
-        # the 65 witness betas and no others
-        assert checked == list(range(WITNESS_N + 1))
-        assert v.is_yes
-        assert v.witness["tail_from"] == 65
-
-        built = []
-        init = ShiftSequences.__init__
-
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
             built.append(self)
 
+        monkeypatch.setattr(core, "_checked_betas", counting)
         monkeypatch.setattr(ShiftSequences, "__init__", recording)
-        similar_report(s.triplet, 512)
-        assert len(built) == 1 and len(built[0]._prefix) <= 68
+        report, code = similar_report(t, 512)
+        assert report["criteria"]["similar_by_beta"].witness["tail_from"] == 0
+        assert (report["verdict"], code) == ("Similar", 0)
+        assert checked == [1]
+        assert len(built) == 1 and len(built[0]._prefix) <= core.FIRST_BLOCK
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_floor_holds_far_out(self, theta):
