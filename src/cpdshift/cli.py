@@ -212,16 +212,10 @@ def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[d
     oracle = hankel_psd_oracle(moments, hankel_order, tol)
     report["subnormal"] = sub
     report["hankel_oracle"] = oracle
-    report["oracles_agree"] = (
-        None
-        if (sub.is_inconclusive or oracle.is_inconclusive)
-        else sub.outcome == oracle.outcome
-    )
-    report["verdict"] = {"yes": "Subnormal", "no": "NotSubnormal"}.get(
-        sub.outcome, "Inconclusive"
-    )
+    report["oracles_agree"] = None if oracle.is_inconclusive else sub.outcome == oracle.outcome
+    report["verdict"] = "Subnormal" if sub.is_yes else "NotSubnormal"
     report["citation"] = sub.citation
-    return report, EXIT_DECIDED if not sub.is_inconclusive else EXIT_INCONCLUSIVE
+    return report, EXIT_DECIDED
 
 
 def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, int]:

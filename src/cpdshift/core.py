@@ -105,16 +105,16 @@ def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
 
     i1, i2 are the resolvent sums of nu.  L and A are differences of rounded
     inputs, so each reads as 0 within ROUNDING of the terms it is computed
-    from: |b| + sum w / |x-1| for L and 1 + i2 for A.  When both would read 0
-    and nu has no atom off the origin, gamma_n = A + L n for n >= 1 and the
-    computed pair stands.  Every decision on the signs of L and A reads this
-    pair.
+    from: |b| + sum w / |x-1| for L and 1 + i2 for A.  An overflowed (infinite)
+    scale reads nothing as 0.  When both would read 0 and nu has no atom off
+    the origin, gamma_n = A + L n for n >= 1 and the computed pair stands.
+    Every decision on the signs of L and A reads this pair.
     """
     i1, i2 = t.nu.resolvent_integrals()
     slope, constant = t.b - i1, 1.0 - i2
     scale = abs(t.b) + math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
-    flat_slope = not abs(slope) > ROUNDING * scale
-    flat_constant = not abs(constant) > ROUNDING * (1.0 + i2)
+    flat_slope = abs(slope) <= ROUNDING * scale < math.inf
+    flat_constant = abs(constant) <= ROUNDING * (1.0 + i2) < math.inf
     if flat_slope and flat_constant and t.nu.support_max() <= 0.0:
         return slope, constant
     return (0.0 if flat_slope else slope), (0.0 if flat_constant else constant)

@@ -25,9 +25,9 @@ from .core import (
     as_sequences,
     classify_type,
     gamma_growth_class,
+    limit_coefficients,
 )
 from .measures import AtomicMeasure
-from .subnormality import B_MATCH_ATOL
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Record, Verdict, _set
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
@@ -154,7 +154,7 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
     at the endpoint are automatic, so the criterion reduces to theta > 1.
     The witness also tags the non-subnormality side conditions:
         (a) 1 - (resolvent sum above 1) < (resolvent sum below 1),
-        (b) b differs from the first resolvent sum,
+        (b) b differs from the first resolvent sum (L != 0, limit_coefficients),
         (c) c > 0.
     """
     t = as_sequences(t).triplet
@@ -167,12 +167,11 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
             {"theta": theta},
             note="sup of the support does not exceed 1; hypotheses not met",
         )
-    i1, _ = t.nu.resolvent_integrals()
     i2_above = math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0)
     i2_below = math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p < 1.0)
     flags = {
         "a-resolvent-gap": bool(1.0 - i2_above < i2_below),
-        "b-mismatch": bool(abs(t.b - i1) > B_MATCH_ATOL),
+        "b-mismatch": limit_coefficients(t)[0] != 0.0,
         "c-positive": bool(t.c > 0.0),
     }
     witness = {

@@ -1,11 +1,14 @@
 """Subnormality of a CPD weighted shift and the necessary conditions for
 similarity to a subnormal operator.
 
-The decisive test is the resolvent criterion: the shift is subnormal exactly
-when c = 0, the second resolvent sum of nu at 1 is at most 1, and b equals
-the first resolvent sum.  The moment-matrix oracle is an independent finite
-certificate (positive semidefiniteness of the Hankel matrix and its shift)
-that never consults the resolvent test.
+The decisive test is the resolvent criterion: in
+gamma_n = A + L n + c n^2 + sum w x^n / (x-1)^2 the shift is subnormal
+exactly when c = 0, L = b - i1 = 0 and A = 1 - i2 >= 0 (i1, i2 the resolvent
+sums of nu at 1), with the signs of L and A read by limit_coefficients, the
+one rule that validation and the necessary conditions read too.  The
+moment-matrix oracle is an independent finite certificate (positive
+semidefiniteness of the Hankel matrix and its shift) that never consults the
+resolvent test.
 """
 
 from __future__ import annotations
@@ -21,11 +24,6 @@ HANKEL_TAG = "stieltjes-hankel-psd"
 DICHOTOMY_TAG = "type-I-II-dichotomy"
 NECESSARY_TAG = "similarity-necessary-conditions"
 
-# (ii-b)-style equality of b with the first resolvent sum: exact inputs, so a
-# tight absolute tolerance with a reported near-miss band above it.
-B_MATCH_ATOL = 1e-12
-B_NEAR_MISS = 1e-6
-
 # Hankel verdicts: PSD within tol * norm is "yes"; eigenvalues more negative
 # than BAND_FACTOR * tol * norm are a decisive "no"; in between is a declared
 # tolerance band (not decisive).
@@ -33,43 +31,33 @@ HANKEL_BAND_FACTOR = 10.0
 
 
 def is_subnormal(t: ScalarTriplet | ShiftSequences) -> Verdict:
-    """Resolvent test; on success the witness carries the Berger measure.
+    """Resolvent test: yes exactly when c = 0, L = 0 and A >= 0, else no.
 
-    The Berger measure puts mass w/(x-1)^2 at every atom (x, w) of nu and the
-    complementary mass 1 - I2 at the point 1, which makes it a probability
-    measure reproducing the formal moments.
+    (L, A) = (b - i1, 1 - i2) as limit_coefficients reads them.  On success
+    the witness carries the Berger measure: mass w/(x-1)^2 at every atom
+    (x, w) of nu and A at the point 1, a probability measure reproducing the
+    formal moments.
     """
     t = as_sequences(t).triplet
     i1, i2 = t.nu.resolvent_integrals()
+    slope, constant = limit_coefficients(t)
     conditions = {
-        "second_resolvent_at_most_one": bool(i2 <= 1.0 + 1e-12),
+        "second_resolvent_at_most_one": constant >= 0.0,
         "c_is_zero": t.c == 0.0,
+        "b_matches_first_resolvent": slope == 0.0,
     }
     gap = abs(t.b - i1) if math.isfinite(i1) else math.inf
-    conditions["b_matches_first_resolvent"] = bool(gap <= B_MATCH_ATOL)
     witness = {"i1": i1, "i2": i2, "b_gap": gap, "conditions": conditions}
-
-    if not conditions["c_is_zero"] or not conditions["second_resolvent_at_most_one"]:
+    if not all(conditions.values()):
         return Verdict(NO, "is_subnormal", SUBNORMAL_TAG, witness)
-    if gap <= B_MATCH_ATOL:
-        witness["berger"] = berger_measure(t)
-        return Verdict(YES, "is_subnormal", SUBNORMAL_TAG, witness)
-    if gap <= B_NEAR_MISS:
-        return Verdict(
-            INCONCLUSIVE,
-            "is_subnormal",
-            SUBNORMAL_TAG,
-            witness,
-            note=f"b misses the first resolvent sum by {gap:.3e} (near-miss band)",
-        )
-    return Verdict(NO, "is_subnormal", SUBNORMAL_TAG, witness)
+    witness["berger"] = berger_measure(t)
+    return Verdict(YES, "is_subnormal", SUBNORMAL_TAG, witness)
 
 
 def berger_measure(t: ScalarTriplet) -> AtomicMeasure:
     """Berger measure of a subnormal triplet (caller checks the criterion)."""
-    _, i2 = t.nu.resolvent_integrals()
     atoms = [(p, w / (p - 1.0) ** 2) for p, w in t.nu.atoms]
-    mass_at_one = 1.0 - i2
+    mass_at_one = limit_coefficients(t)[1]
     if mass_at_one > 0.0:
         atoms.append((1.0, mass_at_one))
     return AtomicMeasure.from_atoms(atoms)
@@ -227,7 +215,5 @@ def dichotomy_check(t: ScalarTriplet | ShiftSequences) -> Verdict:
         witness["classification"] = "subnormal"
         witness["berger"] = sub.witness["berger"]
         return Verdict(YES, "dichotomy_check", DICHOTOMY_TAG, witness)
-    if sub.is_no:
-        witness["classification"] = "not_similar_to_subnormal"
-        return Verdict(NO, "dichotomy_check", DICHOTOMY_TAG, witness)
-    return Verdict(INCONCLUSIVE, "dichotomy_check", DICHOTOMY_TAG, witness, note=sub.note)
+    witness["classification"] = "not_similar_to_subnormal"
+    return Verdict(NO, "dichotomy_check", DICHOTOMY_TAG, witness)

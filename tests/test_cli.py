@@ -44,6 +44,11 @@ QUAD = '{"b": 0.0, "c": 1.0, "nu": {"atoms": []}}'
 ISO = '{"b": 0.0, "c": 0.0, "nu": {"atoms": []}}'
 W05 = '{"b": -0.5, "c": 0.0, "nu": {"atoms": [[0.0, 0.5]]}}'
 SUBN = '{"b": 0.3333333333333333, "c": 0.0, "nu": {"atoms": [[4.0, 1.0]]}}'
+# b - i1 = 5e-13 and 1.2e-13, each far above the rounding of L = b - i1, and
+# b - i1 = 2e-11, below it: one rule (limit_coefficients) reads L in every report
+SLOPE_5E_13 = '{"b": -1.9950000000000001e-10, "c": 0, "nu": {"atoms": [[0.5, 1e-10]]}}'
+TYPE_II_SLOPE = '{"b": -0.00066463556622642416, "c": 0, "nu": {"atoms": [[0, 0.00066463556634927066]]}}'
+SLOPE_2E_11 = '{"b": 5000.5000500050201, "c": 0, "nu": {"atoms": [[10000, 50000000]]}}'
 # the first difference of gamma turns nonnegative only at n = 2397897
 LATE = '{"b": -1e-7, "c": 0, "nu": {"atoms": [[1.000001, 1e-14]]}}'
 
@@ -106,6 +111,17 @@ class TestSubnormal:
         code, doc = run_json(capsys, "subnormal", QUAD)
         assert code == 0 and doc["verdict"] == "NotSubnormal"
 
+    def test_slope_above_rounding_is_not_subnormal(self, capsys):
+        # L = b - i1 = 5e-13 is 0.25% of |i1|, far above its rounding scale
+        code, doc = run_json(capsys, "subnormal", SLOPE_5E_13)
+        assert (code, doc["verdict"]) == (0, "NotSubnormal")
+
+    def test_slope_within_rounding_is_subnormal(self, capsys):
+        # L = b - i1 = 2e-11 lies below its rounding scale 16 eps (|b| + i1) = 3.6e-11
+        code, doc = run_json(capsys, "subnormal", SLOPE_2E_11)
+        assert (code, doc["verdict"]) == (0, "Subnormal")
+        assert "note" not in doc["subnormal"]
+
 
 class TestSimilar:
     def test_type_two_cites_dichotomy(self, capsys):
@@ -154,9 +170,23 @@ class TestSimilar:
         assert code == 0
         assert doc["verdict"] == "NotSimilar"
 
+    @pytest.mark.parametrize(
+        "spec, citation",
+        [
+            (SLOPE_5E_13, "similarity-necessary-conditions(ii-diagonal-sum-nonpositive)"),
+            (TYPE_II_SLOPE, "type-I-II-dichotomy"),
+        ],
+        ids=["type-three", "type-two"],
+    )
+    def test_slope_above_rounding_is_not_similar(self, capsys, spec, citation):
+        # L > 0 beyond its rounding: neither subnormal nor similar to a subnormal shift
+        code, doc = run_json(capsys, "similar", spec)
+        assert (code, doc["verdict"], doc["citation"]) == (0, "NotSimilar", citation)
+        assert doc["subnormal"]["outcome"] == "no"
+
     def test_near_miss_fails_the_diagonal_sums(self, capsys):
-        # b misses the resolvent sum by 1e-9 (near-miss band), so L = 1e-9 > 0: the
-        # diagonal sums turn positive, though only past k = 64
+        # b misses the resolvent sum by 1e-9, far above the rounding of L, so L = 1e-9 > 0:
+        # the diagonal sums turn positive, though only past k = 64
         near = '{"b": -0.049999999, "c": 0.0, "nu": {"atoms": [[0.9, 0.005]]}}'
         code, doc = run_json(capsys, "similar", near)
         assert doc["verdict"] == "NotSimilar"

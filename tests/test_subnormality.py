@@ -53,10 +53,19 @@ class TestIsSubnormal:
     def test_wrong_b_fails(self):
         assert is_subnormal(trip(1.0, 0.0, [(4.0, 1.0)])).is_no
 
-    def test_near_miss_is_inconclusive(self):
+    def test_near_miss_is_not_subnormal(self):
+        # L = 1e-9 lies far above its rounding scale 16 eps (|b| + 1/3) ~ 2.4e-15
         t = trip(1.0 / 3 + 1e-9, 0.0, [(4.0, 1.0)])
         v = is_subnormal(t)
-        assert v.is_inconclusive
+        assert v.is_no
+        assert v.witness["conditions"]["b_matches_first_resolvent"] is False
+
+    def test_overflowed_resolvent_sums_are_not_subnormal(self):
+        # w / (x - 1) overflows: i1 = -inf and i2 = inf, so L = +inf and A = -inf
+        t = trip(0.0, 0.0, [(0.9999999999, 1e300)])
+        assert validate_triplet(t).is_yes
+        assert limit_coefficients(t) == (math.inf, -math.inf)
+        assert is_subnormal(t).is_no
 
     def test_berger_reproduces_moments(self, subnormality_corpus):
         forced, _ = subnormality_corpus
