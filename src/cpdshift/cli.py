@@ -29,7 +29,7 @@ from .similarity import (
 )
 from .subnormality import (
     NECESSARY_TAG,
-    dichotomy_check,
+    _dichotomy,
     hankel_psd_oracle,
     is_subnormal,
     necessary_conditions,
@@ -236,7 +236,7 @@ def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, in
     criteria: dict[str, object] = {}
     dich = None
     if label.kind in ("I", "II"):
-        dich = dichotomy_check(seqs)
+        dich = _dichotomy(label.kind, sub)
         report["dichotomy"] = dich
     else:
         criteria["similar_by_beta"] = similar_by_beta(seqs)

@@ -10,14 +10,19 @@ weights of a bounded shift with formal moments gamma, and its defects beta_n =
 1 - 2 lambda_n^2 + lambda_n^2 lambda_{n+1}^2 equal (2c + nu-moment_n) / gamma_n.
 
 All of them are read from one scaled value per index, g_n = gamma_n theta^-n with
-theta = max(1, top atom of nu), which stays in the double range at every n:
+theta = max(1, top atom of nu), or the top atom itself in the limit form below,
+which stays in the double range at every n:
 lambda_n^2 = theta g_{n+1} / g_n, log gamma_n = n log theta + log g_n, and
 beta_n = (sum w (x/theta)^n + 2c theta^-n) / g_n.
 
-ShiftSequences keeps g_n for n < PREFIX_WINDOW in a prefix, its only cache, and
-derives log gamma_n and beta_n from it on read; past the window g_n comes from
-the O(1) kernel, one index at a time.  Every beta read checks the closed form
-against the weight route at each index it returns.
+The terms of g_n are written once, in _g_terms, in one of two coefficient sets:
+the Q form above, and the limit form sum w x^n / (x-1)^2, the same gamma_n
+where c = 0, every atom lies below 1 and limit_coefficients reads A = L = 0,
+which neither cancels nor underflows as gamma_n decays.  ShiftSequences keeps
+g_n for n < PREFIX_WINDOW in a prefix, its only cache, stepped from those
+terms, and derives log gamma_n and beta_n from it on read; past the window
+g_n is the direct sum of the terms, one index at a time.  Every beta read
+checks the closed form against the weight route at each index it returns.
 
 Each per-index read has a bulk read (gammas, log_gammas, weights, betas) that
 returns every n < count in one pass with the same float operations: the same
@@ -239,11 +244,12 @@ def _forward_scan(t: ScalarTriplet, case: int) -> Verdict:
     a difference, so an overflowed pair of +inf reads as stopped.
     """
     values: dict[int, float] = {}
+    theta = _theta(t)
 
     def gamma(n: int) -> float:
         g = values.get(n)
         if g is None:
-            g = values[n] = _gamma_value(t, n)
+            g = values[n] = _gamma_value(t, theta, n)
         return g
 
     def stopped(n: int) -> bool:
@@ -290,12 +296,40 @@ def _theta(t: ScalarTriplet) -> float:
     return max(1.0, t.nu.support_max())
 
 
-def _far_g(t: ScalarTriplet, n: int) -> float:
-    """g_n from the O(1) scaled kernel, for indices past the prefix."""
-    theta = _theta(t)
-    u = theta**-n
-    terms = [u, t.b * n * u, t.c * n * n * u]
-    return _fsum_g(terms + [w * q_poly_scaled(n, p, theta) for p, w in t.nu.atoms])
+def _g_terms(t: ScalarTriplet, theta: float, n: int, count: int, limit: bool):
+    """The terms of g_m = gamma_m theta^-m for n <= m < n + count, in one coefficient set.
+
+    Returns (rows, seeds, steps).  rows[i] holds the polynomial terms of
+    g_{n+i}, and rows[0] also the atom terms w S_n, so that g_n is the sum of
+    rows[0].  seeds holds one (w, x/theta, S_n) per atom (x, w) of nu, and a
+    later S_m steps from S_n as S_{m+1} = (x/theta) S_m + steps[m - n].
+
+    The Q form has the terms (1, b m, c m^2) theta^-m, S_n = Q_n(x) theta^-n
+    and the steps m theta^-(m+1), with theta^-m taken one division at a time.
+    The limit form gamma_m = sum w x^m / (x-1)^2 has no polynomial terms,
+    S_n = (x/theta)^n / (x-1)^2 and steps of 0: it takes no power of theta,
+    which there is the top atom and may be tiny.
+    """
+    if limit:
+        rows, steps = [[] for _ in range(count)], [0.0] * count
+    else:
+        rows, steps, u = [], [], theta**-n
+        for m in range(n, n + count):
+            rows.append([u, t.b * m * u, t.c * m * m * u])
+            u /= theta
+            steps.append(m * u)
+    seeds = []
+    for p, w in t.nu.atoms:
+        r = p / theta
+        s = r**n / (p - 1.0) ** 2 if limit else q_poly_scaled(n, p, theta)
+        rows[0].append(w * s)
+        seeds.append((w, r, s))
+    return rows, seeds, steps
+
+
+def _far_g(t: ScalarTriplet, theta: float, n: int, limit: bool) -> float:
+    """g_n from the O(1) kernel: the direct sum of its terms, for indices past the prefix."""
+    return _fsum_g(_g_terms(t, theta, n, 1, limit)[0][0])
 
 
 def _unscale(g: float, theta: float, n: int) -> float:
@@ -306,9 +340,9 @@ def _unscale(g: float, theta: float, n: int) -> float:
         return math.inf
 
 
-def _gamma_value(t: ScalarTriplet, n: int) -> float:
-    """gamma_n from the O(1) kernel, for the validation scan."""
-    return _unscale(_far_g(t, n), _theta(t), n)
+def _gamma_value(t: ScalarTriplet, theta: float, n: int) -> float:
+    """gamma_n from the O(1) kernel in the Q form, for the validation scan."""
+    return _unscale(_far_g(t, theta, n, False), theta, n)
 
 
 def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
@@ -355,11 +389,14 @@ class ShiftSequences:
     instance in place of the triplet instead of evaluating again.
 
     The prefix holds g_n only; log gamma_n = n log theta + log g_n is derived
-    on read.  Each prefix block seeds Q_n(x) theta^-n per atom from
-    q_poly_scaled and steps it with S_{m+1} = (x/theta) S_m + m theta^-(m+1),
-    so values do not depend on the order of reads.  Past PREFIX_WINDOW g_n
-    comes from the O(1) kernel.  The prefix is an immutable tuple published by
-    one assignment, so it needs no lock.
+    on read.  Each prefix block takes its terms from _g_terms and steps the
+    atom seeds from its first index, so values do not depend on the order of
+    reads.  Past PREFIX_WINDOW g_n is the direct sum of the terms.  Both read
+    the limit form, with theta the top atom, when validation took its limit
+    branch with gamma_limit = 0 (c = 0, every atom below 1 and
+    limit_coefficients reading (0, 0)), and the Q form otherwise; the set is
+    chosen once, here.  The prefix is an immutable tuple published by one
+    assignment, so it needs no lock.
 
     beta_n is computed on each read from g_n, g_n+1, g_n+2 and the rounded
     ratios x/theta of the defect atoms, and checked against the weight route.
@@ -379,8 +416,11 @@ class ShiftSequences:
         self.triplet = triplet
         self.validation = v
         self.defect_measure = defect_moment_measure(triplet)
-        self.theta = _theta(triplet)
-        self.log_theta = math.log1p(self.theta - 1.0)
+        self._limit = v.witness.get("branch") == "limit" and v.witness["gamma_limit"] == 0.0
+        # the limit form decays like its top atom, which scales it into the double range;
+        # theta - 1 is exact for theta >= 1/2 only, so the top atom takes log
+        self.theta = triplet.nu.support_max() if self._limit else _theta(triplet)
+        self.log_theta = math.log(self.theta) if self._limit else math.log1p(self.theta - 1.0)
         self._defect = tuple((p / self.theta, w) for p, w in self.defect_measure.atoms)
         self._prefix: tuple[float, ...] = ()
 
@@ -389,7 +429,7 @@ class ShiftSequences:
         prefix = self._prefix
         if n >= len(prefix):
             if n >= PREFIX_WINDOW:
-                return _far_g(self.triplet, n)
+                return _far_g(self.triplet, self.theta, n, self._limit)
             prefix = self._grow(n)
         elif n < 0:
             raise ValueError("index must be nonnegative")
@@ -397,26 +437,16 @@ class ShiftSequences:
 
     def _grow(self, n: int) -> tuple[float, ...]:
         """The published prefix, first grown block by block past n."""
-        prefix, t, theta = self._prefix, self.triplet, self.theta
+        prefix, theta, limit = self._prefix, self.theta, self._limit
         while len(prefix) <= n:
             start = len(prefix)
-            ms = range(start, min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK)))
-            us = [theta**-start]  # us[i] = theta^-(start + i), one division per step
-            for _ in ms:
-                us.append(us[-1] / theta)
-            b_terms = [t.b * m * u for m, u in zip(ms, us)]
-            columns = [us[:-1], b_terms, [t.c * m * m * u for m, u in zip(ms, us)]]
-            for p, w in t.nu.atoms:
-                r, s, column = p / theta, q_poly_scaled(start, p, theta), []
-                for m, u in zip(ms, us[1:]):
-                    column.append(w * s)
-                    s = r * s + m * u
-                columns.append(column)
-            try:
-                block = tuple(map(math.fsum, zip(*columns)))
-            except OverflowError:  # some g_m past the double range reads +inf
-                block = tuple(map(_fsum_g, zip(*columns)))
-            self._prefix = prefix = prefix + block
+            stop = min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK))
+            rows, seeds, steps = _g_terms(self.triplet, theta, start, stop - start, limit)
+            for w, r, s in seeds:
+                for row, step in zip(rows[1:], steps):
+                    s = r * s + step
+                    row.append(w * s)
+            self._prefix = prefix = prefix + tuple(map(_fsum_g, rows))
         return prefix
 
     def _gs(self, count: int) -> tuple[float, ...] | list[float]:
@@ -424,7 +454,8 @@ class ShiftSequences:
         if count <= PREFIX_WINDOW:
             prefix = self._prefix if count <= len(self._prefix) else self._grow(count - 1)
             return prefix[: max(count, 0)]
-        far = [_far_g(self.triplet, n) for n in range(PREFIX_WINDOW, count)]
+        t, theta, limit = self.triplet, self.theta, self._limit
+        far = [_far_g(t, theta, n, limit) for n in range(PREFIX_WINDOW, count)]
         return list(self._grow(PREFIX_WINDOW - 1)) + far
 
     def _weight_squares(self, lo: int, hi: int) -> list[float]:

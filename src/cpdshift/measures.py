@@ -18,8 +18,9 @@ from .verdict import Record, _set
 ResolventIntegrals = namedtuple("ResolventIntegrals", ("i1", "i2"))
 ResolventIntegrals.__doc__ = """sum w/(x-1) and sum w/(x-1)^2 over the atoms.
 
-When an atom sits exactly at 1 the second integral is +inf and the first
-is reported as NaN (undefined).
+When an atom sits exactly at 1, or the terms of the first overflow to -inf
+below 1 and to +inf above it, the first integral is reported as NaN
+(undefined); with an atom at 1 the second is +inf.
 """
 
 
@@ -157,7 +158,10 @@ class AtomicMeasure(Record):
         """First and second resolvent sums at the point 1 (sentinels at an atom on 1)."""
         if any(p == 1.0 for p, _ in self.atoms):
             return ResolventIntegrals(math.nan, math.inf)
-        i1 = math.fsum(m / (p - 1.0) for p, m in self.atoms)
+        try:
+            i1 = math.fsum(m / (p - 1.0) for p, m in self.atoms)
+        except ValueError:  # -inf + inf
+            i1 = math.nan
         i2 = math.fsum(m / (p - 1.0) ** 2 for p, m in self.atoms)
         return ResolventIntegrals(i1, i2)
 

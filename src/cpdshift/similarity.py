@@ -38,9 +38,7 @@ GROWTH_INEQ_TAG = "growth-inequalities"
 MODEL_TAG = "model-shift"
 
 # no criterion reads beta_n or lambda_n: the defect floor holds from n = 0 and
-# the weight band covers n >= BAND_N_LO; the floor is checked against the
-# computed beta_0 .. beta_WITNESS_N
-WITNESS_N = 64
+# the weight band covers n >= BAND_N_LO
 BAND_N_LO = 32
 
 

@@ -206,11 +206,14 @@ def dichotomy_check(t: ScalarTriplet | ShiftSequences) -> Verdict:
     error.
     """
     s = as_sequences(t)
-    label = classify_type(s)
-    if label.kind == "III":
+    return _dichotomy(classify_type(s).kind, is_subnormal(s))
+
+
+def _dichotomy(kind: str, sub: Verdict) -> Verdict:
+    """dichotomy_check from the shift's type kind and its is_subnormal verdict."""
+    if kind == "III":
         raise ValueError("dichotomy applies only to types I/II")
-    sub = is_subnormal(s)
-    witness = {"type": label.kind, "subnormal": sub.outcome}
+    witness = {"type": kind, "subnormal": sub.outcome}
     if sub.is_yes:
         witness["classification"] = "subnormal"
         witness["berger"] = sub.witness["berger"]

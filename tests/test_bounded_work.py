@@ -21,8 +21,8 @@ MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
 # beta_1 reads g_1 .. g_3: the first block
 MAX_PREFIX = core.FIRST_BLOCK
 # every read checks the betas it returns and no others: beta_1 for each type check,
-# one in each report and one more in the dichotomy check of a type I or II similar
-MAX_CHECKED = 3
+# one in each report; a type I or II similar builds its dichotomy verdict from its own
+MAX_CHECKED = 2
 
 
 def trip(b, c, pairs):

@@ -130,7 +130,7 @@ def check_reads(make, reads, counts=COUNTS):
 @example(trip(0.0, 0.0, []))
 @example(trip(0.3, 0.0, [(0.0, 0.7)]))
 @example(trip(0.3, 0.2, [(0.4, 1.0), (1.00001, 1.0)]))
-# gamma_n = 0.01^n cancels in the prefix: beta, weight and log gamma raise
+# gamma_n = 0.01^n, read in the limit form, where the Q form would cancel to rounding
 @example(trip(-0.99, 0.0, [(0.01, 0.9801)]))
 # the finite terms 1 + b + c of g_1 sum past the double range
 @example(trip(1e308, 8e307, []))

@@ -122,6 +122,16 @@ class TestSubnormal:
         assert (code, doc["verdict"]) == (0, "Subnormal")
         assert "note" not in doc["subnormal"]
 
+    @pytest.mark.parametrize("command", ("classify", "subnormal", "similar", "model", "compare"))
+    def test_resolvent_sum_overflowing_on_both_sides(self, capsys, command):
+        # w / (x - 1) is -inf below 1 and +inf above it: i1 reads NaN, not an fsum error
+        spec = '{"b": 0, "c": 0, "nu": {"atoms": [[0.9999999999, 1e300], [1.0000000001, 1e300]]}}'
+        code, doc = run_json(capsys, command, *([spec] * (2 if command == "compare" else 1)))
+        assert code == 0
+        if command == "subnormal":
+            assert doc["verdict"] == "NotSubnormal"
+            assert doc["subnormal"]["witnesses"]["i1"] == "nan"
+
 
 class TestSimilar:
     def test_type_two_cites_dichotomy(self, capsys):
@@ -294,7 +304,9 @@ class TestSeries:
         n_max = 5000
         calls = []
         far_g = core._far_g
-        monkeypatch.setattr(core, "_far_g", lambda t, n: calls.append(n) or far_g(t, n))
+        monkeypatch.setattr(
+            core, "_far_g", lambda t, theta, n, limit: calls.append(n) or far_g(t, theta, n, limit)
+        )
         code, out = run(capsys, "series", self.TWO_ATOMS, "--n-max", str(n_max), fmt)
         assert code == 0
         # the rows read g_0 .. g_{n_max + 2}; validation reads two indices below the window

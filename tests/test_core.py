@@ -167,9 +167,9 @@ class TestBoundedValidation:
         calls = []
         kernel = core._gamma_value
 
-        def counting(t, n):
+        def counting(t, theta, n):
             calls.append(n)
-            return kernel(t, n)
+            return kernel(t, theta, n)
 
         monkeypatch.setattr(core, "_gamma_value", counting)
         v = validate_triplet(trip(-1e-6, 0.0, [(1.00001, 1e-12)]))
@@ -178,7 +178,7 @@ class TestBoundedValidation:
 
     def test_precision_limit_is_inconclusive(self, monkeypatch):
         # exact integers that decrease and stay positive past every index doubles reach
-        monkeypatch.setattr(core, "_gamma_value", lambda t, n: 2**60 - n)
+        monkeypatch.setattr(core, "_gamma_value", lambda t, theta, n: 2**60 - n)
         v = validate_triplet(trip(-1.0, 0.0, [(2.0, 1.0)]))
         assert v.is_inconclusive
         assert v.witness["searched_to"] == 2**53
@@ -207,6 +207,13 @@ class TestGamma:
         s = ShiftSequences(trip(0.3, 0.2, [(0.4, 1.0), (3.0, 0.5)]))
         for n in (0, 1, 2, 7, 30, 100):
             assert math.isclose(s.log_gamma(n), math.log(s.gamma(n)), rel_tol=1e-12)
+
+    def test_decaying_class_reads_the_limit_form(self):
+        # c = 0, an atom below 1 and A = L = 0: gamma_n = 0.01^n, which the Q form
+        # 1 - 0.99 n + 0.9801 Q_n(0.01) cancels to rounding
+        s = ShiftSequences(trip(-0.99, 0.0, [(0.01, 0.9801)]))
+        for n in range(65):
+            assert math.isclose(s.gamma(n), 0.01**n, rel_tol=1e-12), n
 
     def test_log_gamma_past_overflow(self):
         s = ShiftSequences(trip(0.0, 0.0, [(2.0, 1.0)]))
@@ -290,10 +297,10 @@ class TestPrefix:
         s = ShiftSequences(t)
         indices = list(range(600)) + list(range(core.PREFIX_WINDOW - 8, core.PREFIX_WINDOW + 8))
         for n in indices:
-            g, point = s.gamma(n), core._gamma_value(t, n)
+            g, point = s.gamma(n), core._gamma_value(t, s.theta, n)
             if max(g, point) < math.inf:
                 assert math.isclose(g, point, rel_tol=1e-12), n
-            kernel = n * s.log_theta + math.log(core._far_g(t, n))
+            kernel = n * s.log_theta + math.log(core._far_g(t, s.theta, n, False))
             assert math.isclose(s.log_gamma(n), kernel, rel_tol=1e-12), n
 
     def test_values_do_not_depend_on_the_order_of_reads(self):

@@ -99,6 +99,13 @@ class TestResolventIntegrals:
         assert math.isnan(i1)
         assert math.isinf(i2)
 
+    def test_overflow_on_both_sides_of_one_is_undefined(self):
+        # w / (x - 1) is -inf below 1 and +inf above it
+        nu = AtomicMeasure(((0.9999999999, 1e300), (1.0000000001, 1e300)))
+        i1, i2 = nu.resolvent_integrals()
+        assert math.isnan(i1)
+        assert i2 == math.inf
+
 
 class TestPushforwards:
     def test_sqrt(self):

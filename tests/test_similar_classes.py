@@ -29,7 +29,10 @@ from cpdshift import (
 )
 from cpdshift.cli import model_report, similar_report, subnormal_report
 from cpdshift.core import PREFIX_WINDOW, ROUNDING
-from cpdshift.similarity import BAND_N_LO, WITNESS_N, _tail_floor
+from cpdshift.similarity import BAND_N_LO, _tail_floor
+
+# the floor is checked against the computed beta_0 .. beta_WITNESS_N
+WITNESS_N = 64
 
 # an atom anywhere in [0, 20], or 1e-9..1e-1 from 1 on either side
 points = st.floats(0.0, 20.0) | st.tuples(
