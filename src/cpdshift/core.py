@@ -19,10 +19,11 @@ The terms of g_n are written once, in _g_terms, in one of two coefficient sets:
 the Q form above, and the limit form sum w x^n / (x-1)^2, the same gamma_n
 where c = 0, every atom lies below 1 and limit_coefficients reads A = L = 0,
 which neither cancels nor underflows as gamma_n decays.  ShiftSequences keeps
-g_n for n < PREFIX_WINDOW in a prefix, its only cache, stepped from those
-terms, and derives log gamma_n and beta_n from it on read; past the window
-g_n is the direct sum of the terms, one index at a time.  Every beta read
-checks the closed form against the weight route at each index it returns.
+g_n for n < PREFIX_WINDOW in a prefix, its only cache, built in blocks stepped
+from those terms by _g_block, and derives log gamma_n and beta_n from it on
+read; past the window g_n is the direct sum of the terms, one index at a time.
+Every beta read checks the closed form against the weight route at each index
+it returns.
 
 Each per-index read has a bulk read (gammas, log_gammas, weights, betas) that
 returns every n < count in one pass with the same float operations: the same
@@ -39,8 +40,8 @@ from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Record, Verdict, _set
 
 # g_n is kept for n < PREFIX_WINDOW, so long scans hold no more memory; blocks end
-# at FIRST_BLOCK 2^k: the first block holds the g_1 .. g_3 that the beta_1 of a type
-# check reads, and two blocks the g_0 .. g_66 of `classify`'s default 65 betas.
+# at FIRST_BLOCK 2^k, so that two blocks hold the g_0 .. g_66 of `classify`'s
+# default 65 betas.
 PREFIX_WINDOW = 4096
 FIRST_BLOCK = 34
 
@@ -327,6 +328,20 @@ def _g_terms(t: ScalarTriplet, theta: float, n: int, count: int, limit: bool):
     return rows, seeds, steps
 
 
+def _g_block(t: ScalarTriplet, theta: float, start: int, count: int, limit: bool) -> tuple:
+    """g_m for start <= m < start + count: the terms of _g_terms, atom seeds stepped from start.
+
+    A block depends on its start and not on its length: its first k entries
+    are the k-entry block from the same start, bit for bit.
+    """
+    rows, seeds, steps = _g_terms(t, theta, start, count, limit)
+    for w, r, s in seeds:
+        for row, step in zip(rows[1:], steps):
+            s = r * s + step
+            row.append(w * s)
+    return tuple(map(_fsum_g, rows))
+
+
 def _far_g(t: ScalarTriplet, theta: float, n: int, limit: bool) -> float:
     """g_n from the O(1) kernel: the direct sum of its terms, for indices past the prefix."""
     return _fsum_g(_g_terms(t, theta, n, 1, limit)[0][0])
@@ -356,15 +371,16 @@ def _checked_betas(start: int, defect, theta: float, g) -> list[float]:
     """beta_n for start <= n < start + len(g) - 2, from g = (g_start, g_start+1, ...).
 
     Returns the closed form sum w r^n / g_n over defect = ((x/theta, w), ...),
-    checked at every index against the weight route 1 - 2 lambda_n^2 +
-    lambda_n^2 lambda_{n+1}^2: disagreement beyond BETA_AGREEMENT_RTOL is an
-    implementation bug and raises rather than averaging.  Where several
-    indices fail, the first raises what it raises when read by itself.
+    its numerator +inf past the double range as g_n is, checked at every index
+    against the weight route 1 - 2 lambda_n^2 + lambda_n^2 lambda_{n+1}^2:
+    disagreement beyond BETA_AGREEMENT_RTOL is an implementation bug and
+    raises rather than averaging.  Where several indices fail, the first
+    raises what it raises when read by itself.
     """
     ns = range(start, start + len(g) - 2)
     try:
         rows = zip(*([w * r**n for n in ns] for r, w in defect)) if defect else [()] * len(ns)
-        closed = [math.fsum(row) / g0 for row, g0 in zip(rows, g)]
+        closed = [_fsum_g(row) / g0 for row, g0 in zip(rows, g)]
         sq = [theta * b / a for a, b in zip(g, g[1:])]
     except ArithmeticError:  # possibly at a later index than a mismatch: check one at a time
         if len(ns) > 1:
@@ -389,14 +405,16 @@ class ShiftSequences:
     instance in place of the triplet instead of evaluating again.
 
     The prefix holds g_n only; log gamma_n = n log theta + log g_n is derived
-    on read.  Each prefix block takes its terms from _g_terms and steps the
-    atom seeds from its first index, so values do not depend on the order of
-    reads.  Past PREFIX_WINDOW g_n is the direct sum of the terms.  Both read
-    the limit form, with theta the top atom, when validation took its limit
-    branch with gamma_limit = 0 (c = 0, every atom below 1 and
-    limit_coefficients reading (0, 0)), and the Q form otherwise; the set is
-    chosen once, here.  The prefix is an immutable tuple published by one
-    assignment, so it needs no lock.
+    on read.  Each prefix block comes from _g_block, which steps the atom
+    seeds from its first index, so values do not depend on the order of reads
+    and a block from 0 of any length gives the prefix's first entries.  It is
+    grown on the first read of a gamma, weight or beta; the type check of
+    classify_type grows none.  Past PREFIX_WINDOW g_n is the direct sum of
+    the terms.  Both read the limit form, with theta the top atom, when
+    validation took its limit branch with gamma_limit = 0 (c = 0, every atom
+    below 1 and limit_coefficients reading (0, 0)), and the Q form otherwise;
+    the set is chosen once, here.  The prefix is an immutable tuple published
+    by one assignment, so it needs no lock.
 
     beta_n is computed on each read from g_n, g_n+1, g_n+2 and the rounded
     ratios x/theta of the defect atoms, and checked against the weight route.
@@ -441,12 +459,8 @@ class ShiftSequences:
         while len(prefix) <= n:
             start = len(prefix)
             stop = min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK))
-            rows, seeds, steps = _g_terms(self.triplet, theta, start, stop - start, limit)
-            for w, r, s in seeds:
-                for row, step in zip(rows[1:], steps):
-                    s = r * s + step
-                    row.append(w * s)
-            self._prefix = prefix = prefix + tuple(map(_fsum_g, rows))
+            block = _g_block(self.triplet, theta, start, stop - start, limit)
+            self._prefix = prefix = prefix + block
         return prefix
 
     def _gs(self, count: int) -> tuple[float, ...] | list[float]:
@@ -532,7 +546,9 @@ def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
     """Type I / II / III label with the defect-space dimension.
 
     Cross-checked against the dichotomy: the label is III exactly when
-    beta_1 > 0.
+    beta_1 > 0.  beta_1 is read from a 4-entry block g_0 .. g_3 of _g_block,
+    bit for bit ShiftSequences.beta(1) and checked the same way, without
+    growing the prefix.
     """
     s = as_sequences(t)
     nu, c = s.triplet.nu, s.triplet.c
@@ -542,6 +558,7 @@ def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
         label = TypeLabel("II", 1)
     else:
         label = TypeLabel("III", "aleph0")
-    if (s.beta(1) > 0.0) != (label.kind == "III"):
+    g = _g_block(s.triplet, s.theta, 0, 4, s._limit)
+    if (_checked_betas(1, s._defect, s.theta, g[1:])[0] > 0.0) != (label.kind == "III"):
         raise RuntimeError("type label disagrees with the beta_1 > 0 dichotomy")
     return label

@@ -92,7 +92,11 @@ class AtomicMeasure(Record):
         return not self.atoms
 
     def total_mass(self) -> float:
-        return math.fsum(m for _, m in self.atoms)
+        """Sum of the masses; saturates to +inf past the double range, as moment does."""
+        try:
+            return math.fsum(m for _, m in self.atoms)
+        except OverflowError:
+            return math.inf
 
     def support_min(self) -> float:
         """inf of the support; +inf for the zero measure."""
@@ -176,11 +180,19 @@ class AtomicMeasure(Record):
         return AtomicMeasure.from_atoms((p * p, m) for p, m in self.atoms)
 
     def normalize(self) -> "AtomicMeasure":
-        """Scale to a probability measure; the zero measure cannot be normalized."""
+        """Scale to a probability measure; the zero measure cannot be normalized.
+
+        Where the total overflows, the masses are first divided by the largest.
+        """
         total = self.total_mass()
         if total <= 0.0:
             raise ValueError("cannot normalize zero measure")
-        return AtomicMeasure(tuple((p, m / total) for p, m in self.atoms))
+        atoms = self.atoms
+        if total == math.inf:
+            top = max(m for _, m in atoms)
+            atoms = tuple((p, m / top) for p, m in atoms)
+            total = math.fsum(m for _, m in atoms)
+        return AtomicMeasure(tuple((p, m / total) for p, m in atoms))
 
     def approx_equal(self, other: "AtomicMeasure", rtol: float = 1e-12) -> bool:
         if len(self.atoms) != len(other.atoms):

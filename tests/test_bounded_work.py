@@ -1,9 +1,10 @@
 """Seeded property test: similar and model reports finish after bounded work.
 
 Validation makes O(log n) kernel evaluations up to the index limit 2^53, and
-the reports read beta_1 of their type checks and no other beta or gamma, so the
-counts below hold for every triplet, whatever its slope or its distance of the
-top atom to 1.
+the reports read beta_1 of their type checks and no other beta or gamma.  The
+type check reads it from a 4-entry block of g, so no report grows the prefix,
+and the counts below hold for every triplet, whatever its slope or its distance
+of the top atom to 1.
 """
 
 import math
@@ -18,8 +19,8 @@ from cpdshift.cli import model_report, similar_report
 N_SCAN, N_MODEL = 512, 32
 # two validations, each at most 4 kernel calls per doubling of the exit index, up to 2^53
 MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
-# beta_1 reads g_1 .. g_3: the first block
-MAX_PREFIX = core.FIRST_BLOCK
+# the type check's beta_1 reads g_1 .. g_3 from its own block, not from the prefix
+MAX_PREFIX = 0
 # every read checks the betas it returns and no others: beta_1 for each type check,
 # one in each report; a type I or II similar builds its dichotomy verdict from its own
 MAX_CHECKED = 2
@@ -58,13 +59,13 @@ def test_reports_do_bounded_work(t):
 @given(triplets())
 def test_model_report_reads_one_block(t):
     # the model report prints its Berger measure: beta_1 of the type check is its
-    # only prefix read, so it grows the first block alone
+    # only sequence read, and it comes from the type check's own block of g
     grow = mock.patch.object(
         ShiftSequences, "_grow", autospec=True, side_effect=ShiftSequences._grow
     )
     count_checked = mock.patch.object(core, "_checked_betas", wraps=core._checked_betas)
     with grow as grown, count_checked as checked:
         model_report(t, N_MODEL)
-    assert all(call.args[1] < core.FIRST_BLOCK for call in grown.call_args_list)
+    assert not grown.called
     checks = [(call.args[0], len(call.args[3]) - 2) for call in checked.call_args_list]
     assert checks in ([], [(1, 1)])

@@ -132,6 +132,16 @@ class TestSubnormal:
             assert doc["verdict"] == "NotSubnormal"
             assert doc["subnormal"]["witnesses"]["i1"] == "nan"
 
+    @pytest.mark.parametrize("command", ("classify", "similar", "model"))
+    def test_defect_moments_past_the_double_range(self, capsys, command):
+        # nu_0 = 2e308 overflows: beta_1 and the Berger measure's total mass read past it
+        spec = '{"b": 0, "c": 0, "nu": {"atoms": [[1.5, 1e308], [1.6, 1e308]]}}'
+        code, doc = run_json(capsys, command, spec)
+        verdict = {"classify": "TypeIII", "similar": "Similar", "model": "Model"}[command]
+        assert (code, doc["verdict"]) == (0, verdict)
+        if command == "model":
+            assert doc["model"]["berger"]["atoms"] == [[1.5, 0.5], [1.6, 0.5]]
+
 
 class TestSimilar:
     def test_type_two_cites_dichotomy(self, capsys):

@@ -1,7 +1,9 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
 
 import cpdshift
 from cpdshift import (
@@ -16,7 +18,7 @@ from cpdshift import (
     validate_triplet,
 )
 from cpdshift.cli import model_report, similar_report
-from conftest import diagonal_triplet
+from conftest import diagonal_triplet, triplets
 
 
 def trip(b, c, atoms=()):
@@ -475,6 +477,43 @@ class TestClassify:
 
     def test_c_positive_is_type_three(self):
         assert classify_type(trip(0.0, 1.0)).kind == "III"
+
+    @staticmethod
+    def prefix_type_check(t):
+        """(kind, beta_1) of the type check with beta_1 read through the prefix."""
+        beta1 = ShiftSequences(t).beta(1)
+        nu, c = t.nu, t.c
+        if nu.is_zero and c == 0.0:
+            kind = "I"
+        elif c == 0.0 and len(nu.atoms) == 1 and nu.atoms[0][0] == 0.0:
+            kind = "II"
+        else:
+            kind = "III"
+        if (beta1 > 0.0) != (kind == "III"):
+            raise RuntimeError("type label disagrees with the beta_1 > 0 dichotomy")
+        return kind, beta1
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(triplets())
+    @example(trip(-0.99, 0.0, [(0.01, 0.9801)]))  # the limit form, theta the top atom 0.01
+    def test_block_beta_one_is_the_prefix_beta_one(self, t):
+        try:
+            kind, beta1 = self.prefix_type_check(t)
+        except Exception as exc:
+            with pytest.raises(Exception) as raised:
+                classify_type(t)
+            assert type(raised.value) is type(exc)
+            return
+        returned, check = [], core._checked_betas
+
+        def recording(*args):
+            returned.append(check(*args))
+            return returned[-1]
+
+        with mock.patch.object(core, "_checked_betas", recording):
+            label = classify_type(t)
+        assert label.kind == kind
+        assert [[x.hex() for x in betas] for betas in returned] == [[beta1.hex()]]
 
 
 class TestDiagonalTriplet:

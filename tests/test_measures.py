@@ -47,6 +47,9 @@ class TestTotalMass:
     def test_single(self):
         assert point_mass(4.0, 3.0).total_mass() == 3.0
 
+    def test_overflow_saturates(self):
+        assert AtomicMeasure(((1.5, 1e308), (1.6, 1e308))).total_mass() == math.inf
+
 
 class TestMoment:
     def test_bernoulli_style(self):
@@ -147,6 +150,10 @@ class TestNormalize:
     def test_zero_measure_rejected(self):
         with pytest.raises(ValueError, match="zero measure"):
             zero_measure().normalize()
+
+    def test_overflowing_total(self):
+        m = AtomicMeasure(((1.5, 1e308), (1.6, 1e308), (2.0, 5e307))).normalize()
+        assert m.atoms == ((1.5, 0.4), (1.6, 0.4), (2.0, 0.2))
 
 
 class TestInvariants:

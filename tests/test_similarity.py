@@ -72,7 +72,8 @@ class TestTailFloor:
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_scan_reads_the_prefix_only(self, theta, monkeypatch):
-        # the similar report reads the prefix only for the beta_1 of its type check
+        # the similar report reads no prefix: the beta_1 of its type check is its only
+        # sequence read, and it comes from the type check's own block of g
         t = trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)])
         checked, built = [], []
         check, init = core._checked_betas, ShiftSequences.__init__
@@ -91,7 +92,7 @@ class TestTailFloor:
         assert report["criteria"]["similar_by_beta"].witness["tail_from"] == 0
         assert (report["verdict"], code) == ("Similar", 0)
         assert checked == [1]
-        assert len(built) == 1 and len(built[0]._prefix) <= core.FIRST_BLOCK
+        assert len(built) == 1 and built[0]._prefix == ()
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_floor_holds_far_out(self, theta):
