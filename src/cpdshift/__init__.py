@@ -25,7 +25,6 @@ from .quasiaffine import (
 )
 from .similarity import (
     ModelDegenerateError,
-    ModelShift,
     b2_identity_check,
     criterion_ineqsuf,
     criterion_kdwq,
@@ -83,7 +82,6 @@ __all__ = [
     "INCONCLUSIVE",
     "InvalidTripletError",
     "ModelDegenerateError",
-    "ModelShift",
     "NecessaryReport",
     "NO",
     "NotApplicableError",

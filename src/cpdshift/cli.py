@@ -276,17 +276,17 @@ def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
     if seqs is None:
         return report, code
     try:
-        model = model_subnormal(seqs)
+        berger = model_subnormal(seqs)
     except ModelDegenerateError as exc:
         report["model"] = None
         report["verdict"] = "ModelDegenerate"
         report["reason"] = str(exc)
         return report, EXIT_DECIDED
     report["model"] = {
-        "mu0": model.mu0,
-        "berger": model.berger,
-        "moments": model.moments(n_max),
-        "weights": model.weights(n_max),
+        "mu0": seqs.defect_measure,
+        "berger": berger,
+        "moments": berger.moments(n_max),
+        "weights": berger.weights(n_max),
     }
     report["verdict"] = "Model"
     report["citation"] = MODEL_TAG

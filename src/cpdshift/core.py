@@ -98,10 +98,6 @@ class TypeLabel(Record):
 
     __slots__ = ("kind", "dim")
 
-    def __init__(self, kind: str, dim: object):
-        _set(self, "kind", kind)
-        _set(self, "dim", dim)
-
     def to_json(self) -> dict:
         return {"type": self.kind, "dim": self.dim}
 

@@ -154,6 +154,12 @@ class AtomicMeasure(Record):
         columns = [[m * (p / top) ** n for n in range(count)] for p, m in self.atoms]
         return [n * log_top + math.log(math.fsum(row)) for n, row in enumerate(zip(*columns))]
 
+    def weights(self, count: int) -> list[float]:
+        """sqrt(moment(n+1) / moment(n)) for every n < count: the weights of the shift
+        whose Berger measure this is, read from log_moments."""
+        logs = self.log_moments(count + 1)
+        return [math.exp(0.5 * (b - a)) for a, b in zip(logs, logs[1:])]
+
     def integrate_q(self, n: int) -> float:
         """Integral of the kernel polynomial q_poly(n, .) against the measure."""
         return math.fsum(m * q_poly(n, p) for p, m in self.atoms)

@@ -5,14 +5,14 @@ their formal moment sequences is bounded; the shifts are similar exactly when
 the ratio is bounded above and away from zero (Shields, *Weighted shift
 operators and analytic function theory*, 1974).
 
-The tests are exact for every input they accept: triplets, their sequences,
-atomic measures and model shifts.  Their moments grow like K r^n n^d with
-the growth class (r, d, K) in closed form, so the ratio om/lam is bounded
-exactly when (r, d) of om is at most that of lam, compared
-lexicographically.  A triplet's linear and constant coefficients count as 0
-within the rounding of their inputs.  A finite weight list cannot show that
-a ratio is bounded, so only intertwiner_defect, which checks an identity on
-a finite truncation, accepts one.
+The tests are exact for every input they accept: triplets, their sequences
+and atomic measures, a model shift's Berger measure among them.  Their
+moments grow like K r^n n^d with the growth class (r, d, K) in closed form,
+so the ratio om/lam is bounded exactly when (r, d) of om is at most that of
+lam, compared lexicographically.  A triplet's linear and constant
+coefficients count as 0 within the rounding of their inputs.  A finite
+weight list cannot show that a ratio is bounded, so only intertwiner_defect,
+which checks an identity on a finite truncation, accepts one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 
 from .core import ScalarTriplet, ShiftSequences, as_sequences, gamma_growth_class
 from .measures import AtomicMeasure
-from .similarity import ModelShift
 from .verdict import NO, YES, Verdict
 
 GROWTH_TAG = "moment-growth-class"
@@ -38,9 +37,7 @@ def _require_positive_moments(m: AtomicMeasure) -> None:
 
 def _log_moments(obj, count: int) -> list[float]:
     """log of the moments 0..count-1 of a triplet, its sequences, an atomic
-    measure, a model shift (its Berger measure) or a finite weight list."""
-    if isinstance(obj, ModelShift):
-        obj = obj.berger
+    measure or a finite weight list."""
     if isinstance(obj, AtomicMeasure):
         _require_positive_moments(obj)
         return obj.log_moments(count)
@@ -60,14 +57,12 @@ def _log_moments(obj, count: int) -> list[float]:
 
 
 def growth_class(obj) -> tuple[float, int, float]:
-    """(r, d, K) with n-th moment ~ K r^n n^d, for a triplet, its sequences,
-    an atomic measure or a model shift (its Berger measure).
+    """(r, d, K) with n-th moment ~ K r^n n^d, for a triplet, its sequences
+    or an atomic measure.
 
     A triplet's class is core.gamma_growth_class; a measure's moments are
     led by the mass at its top point.
     """
-    if isinstance(obj, ModelShift):
-        obj = obj.berger
     if isinstance(obj, AtomicMeasure):
         _require_positive_moments(obj)
         top, mass = obj.atoms[-1]

@@ -28,7 +28,7 @@ from .core import (
     limit_coefficients,
 )
 from .measures import AtomicMeasure
-from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Record, Verdict, _set
+from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
 ENDPOINT_ATOM_TAG = "endpoint-atom"
@@ -150,9 +150,11 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
 
     For an atomic nu the finiteness of the resolvent sum above 1 and the atom
     at the endpoint are automatic, so the criterion reduces to theta > 1.
-    The witness also tags the non-subnormality side conditions:
-        (a) 1 - (resolvent sum above 1) < (resolvent sum below 1),
-        (b) b differs from the first resolvent sum (L != 0, limit_coefficients),
+    The witness also tags the non-subnormality side conditions, each the
+    failure of one condition of subnormality.is_subnormal, with (L, A) read
+    by limit_coefficients:
+        (a) A = 1 - (second resolvent sum) < 0,
+        (b) b differs from the first resolvent sum (L != 0),
         (c) c > 0.
     """
     t = as_sequences(t).triplet
@@ -166,10 +168,10 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
             note="sup of the support does not exceed 1; hypotheses not met",
         )
     i2_above = math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0)
-    i2_below = math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p < 1.0)
+    slope, constant = limit_coefficients(t)
     flags = {
-        "a-resolvent-gap": bool(1.0 - i2_above < i2_below),
-        "b-mismatch": limit_coefficients(t)[0] != 0.0,
+        "a-resolvent-gap": constant < 0.0,
+        "b-mismatch": slope != 0.0,
         "c-positive": bool(t.c > 0.0),
     }
     witness = {
@@ -367,29 +369,13 @@ def example_t0() -> float:
     return (math.sqrt(10.0) - 2.0) / 3.0
 
 
-class ModelShift(Record):
-    """Subnormal model shift of a type-III input, given by its Berger measure."""
+def model_subnormal(t: ScalarTriplet | ShiftSequences) -> AtomicMeasure:
+    """Berger measure of the model subnormal shift: normalized (nu + 2c at 1).
 
-    __slots__ = ("mu0", "berger")
-
-    def __init__(self, mu0: AtomicMeasure, berger: AtomicMeasure):
-        _set(self, "mu0", mu0)
-        _set(self, "berger", berger)
-
-    def moments(self, count: int) -> list[float]:
-        return self.berger.moments(count)
-
-    def weights(self, count: int) -> list[float]:
-        logs = self.berger.log_moments(count + 1)
-        return [math.exp(0.5 * (b - a)) for a, b in zip(logs, logs[1:])]
-
-
-def model_subnormal(t: ScalarTriplet | ShiftSequences) -> ModelShift:
-    """Model subnormal shift: Berger measure = normalized (nu + 2c at 1).
-
-    The square pushforward of the square-root pushforward returns the same
-    measure, so the radial detour collapses to mu0 itself.  Degenerate for
-    types I and II (the completion space has dimension 0 or 1).
+    The model is M_z on the L^2 closure of the polynomials, so the measure
+    alone determines it; the radial detour (square-root pushforward, then
+    square) returns the same measure.  Degenerate for types I and II (the
+    completion space has dimension 0 or 1).
     """
     s = as_sequences(t)
     label = classify_type(s)
@@ -397,8 +383,7 @@ def model_subnormal(t: ScalarTriplet | ShiftSequences) -> ModelShift:
         raise ModelDegenerateError(
             f"model degenerates for type {label.kind} (completion dimension {label.dim})"
         )
-    m0 = s.defect_measure
-    return ModelShift(mu0=m0, berger=m0.normalize())
+    return s.defect_measure.normalize()
 
 
 def b2_identity_check(

@@ -68,6 +68,8 @@ def hankel_psd_oracle(moments, order: int = 8, tol: float = 1e-8) -> Verdict:
 
     Independent of the resolvent test.  A verdict is decisive unless the most
     negative normalized eigenvalue falls in the band (-BAND_FACTOR*tol, -tol].
+    Moments that saturate to +inf past the double range give no matrix to
+    test: the verdict is inconclusive.  NaN or -inf moments raise.
     """
     import numpy as np
 
@@ -75,8 +77,12 @@ def hankel_psd_oracle(moments, order: int = 8, tol: float = 1e-8) -> Verdict:
     if len(moments) < need:
         raise ValueError(f"need at least {need} moments for order {order}, got {len(moments)}")
     m = np.asarray(moments[:need], dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("moments must be finite")
+    if np.any(np.isnan(m) | (m == -np.inf)):
+        raise ValueError("moments must be finite or +inf")
+    if np.any(m == np.inf):
+        witness = {"order": order, "tol": tol, "decisive": False}
+        note = "moments overflow the double range"
+        return Verdict(INCONCLUSIVE, "hankel_psd_oracle", HANKEL_TAG, witness, note=note)
     idx = np.arange(order + 1)
     h = m[idx[:, None] + idx[None, :]]
     h_shift = m[idx[:, None] + idx[None, :] + 1]

@@ -23,13 +23,20 @@ _set = object.__setattr__
 class Record:
     """An immutable value made of the fields its subclass lists in __slots__.
 
-    Equality, hash and repr read the fields in __slots__ order, and so does
-    pickling, which passes them back to __init__ positionally.  Each subclass
-    sets its fields in __init__ with _set; assigning or deleting a field
-    afterwards raises AttributeError.
+    __init__ takes one value per field, in __slots__ order.  Equality, hash
+    and repr read the fields in that order, and so does pickling, which passes
+    them back to __init__ positionally.  A subclass that validates its input
+    or has defaults writes its own __init__ and sets its fields with _set;
+    assigning or deleting a field afterwards raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} values")
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -14,7 +14,7 @@ import math
 from .core import ScalarTriplet, TypeLabel
 from .measures import AtomicMeasure, point_mass, zero_measure
 from .similarity import criterion_ineqsuf, example_t0
-from .verdict import Record, _set
+from .verdict import Record
 
 
 def wab_weights(a: float, b: float, n: int) -> float:
@@ -37,28 +37,6 @@ def wab_weight_list(a: float, b: float, count: int) -> list[float]:
 
 class WabClassification(Record):
     __slots__ = ("a", "b", "theta", "cpd", "label", "subnormal", "berger", "norm", "triplet")
-
-    def __init__(
-        self,
-        a: float,
-        b: float,
-        theta: float,
-        cpd: bool,
-        label: TypeLabel | None,
-        subnormal: bool,
-        berger: AtomicMeasure | None,
-        norm: float,
-        triplet: ScalarTriplet | None,
-    ):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "theta", theta)
-        _set(self, "cpd", cpd)
-        _set(self, "label", label)
-        _set(self, "subnormal", subnormal)
-        _set(self, "berger", berger)
-        _set(self, "norm", norm)
-        _set(self, "triplet", triplet)
 
     def to_json(self) -> dict:
         return {
@@ -105,11 +83,6 @@ def wab_classify(a: float, b: float) -> WabClassification:
 
 class GrowthFamilyExample(Record):
     __slots__ = ("triplet", "family", "params")
-
-    def __init__(self, triplet: ScalarTriplet, family: str, params: dict):
-        _set(self, "triplet", triplet)
-        _set(self, "family", family)
-        _set(self, "params", params)
 
     def to_json(self) -> dict:
         doc = self.triplet.to_json()

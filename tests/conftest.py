@@ -10,7 +10,7 @@ from cpdshift import (
     wab_classify,
 )
 from cpdshift.core import as_sequences
-from cpdshift.verdict import Record, _set
+from cpdshift.verdict import Record
 
 WAB_GRID_A = (0.25, 0.5, 1.0, 2.0)
 WAB_GRID_B = (1.0, 1.5, 2.0, 3.0)
@@ -130,12 +130,6 @@ class DiagonalTriplet(Record):
     """Index-k entry of the diagonal operator triplet attached to the shift."""
 
     __slots__ = ("k", "b_k", "c_k", "nu_k")
-
-    def __init__(self, k: int, b_k: float, c_k: float, nu_k: AtomicMeasure):
-        _set(self, "k", k)
-        _set(self, "b_k", b_k)
-        _set(self, "c_k", c_k)
-        _set(self, "nu_k", nu_k)
 
 
 def diagonal_triplet(t: ScalarTriplet | ShiftSequences, k: int) -> DiagonalTriplet:

@@ -1,10 +1,10 @@
 """Seeded property test: every bulk read equals its per-index read bit for bit.
 
-ShiftSequences.gammas/log_gammas/weights/betas, AtomicMeasure.moments/
-log_moments and ModelShift.moments/weights return the reads of every n < count
-in one list.  At each index the float must be the one the per-index read
-returns, and where a per-index read raises, the bulk read must raise the same
-exception type and message, at the first such index.
+ShiftSequences.gammas/log_gammas/weights/betas and AtomicMeasure.moments/
+log_moments/weights return the reads of every n < count in one list.  At each
+index the float must be the one the per-index read returns, and where a
+per-index read raises, the bulk read must raise the same exception type and
+message, at the first such index.
 """
 
 import math
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from cpdshift import (
     AtomicMeasure,
-    ModelShift,
     ScalarTriplet,
     ShiftSequences,
     core,
@@ -95,11 +94,11 @@ MODEL_READS = (("moments", "moment"), ("weights", "weight"))
 
 
 class ModelReads:
-    """A model shift's bulk reads, beside the per-index reads of its Berger measure."""
+    """A model shift's Berger measure: its bulk reads, beside its per-index reads."""
 
-    def __init__(self, model: ModelShift):
-        self.moments, self.weights = model.moments, model.weights
-        self.moment, self.log_moment = model.berger.moment, model.berger.log_moment
+    def __init__(self, berger: AtomicMeasure):
+        self.moments, self.weights = berger.moments, berger.weights
+        self.moment, self.log_moment = berger.moment, berger.log_moment
 
     def weight(self, n):
         return math.exp(0.5 * (self.log_moment(n + 1) - self.log_moment(n)))
@@ -139,7 +138,7 @@ def test_bulk_reads_match_the_index_reads(t):
     for m in (t.nu, ShiftSequences(t).defect_measure, AtomicMeasure()):
         check_reads(lambda: m, MEASURE_READS, MEASURE_COUNTS)
         if m.atoms:
-            model = ModelReads(ModelShift(m, m.normalize()))
+            model = ModelReads(m.normalize())
             check_reads(lambda: model, MODEL_READS, MEASURE_COUNTS)
 
 

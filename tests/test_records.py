@@ -15,7 +15,6 @@ from cpdshift import (
     YES,
     AtomicMeasure,
     GrowthFamilyExample,
-    ModelShift,
     NecessaryReport,
     ResolventIntegrals,
     ScalarTriplet,
@@ -61,11 +60,6 @@ RECORDS = {
         NecessaryReport,
         lambda: NecessaryReport(True, "", (ConditionResult("i-c-zero", True),)),
         lambda: NecessaryReport(False, "n/a"),
-    ),
-    "ModelShift": (
-        ModelShift,
-        lambda: ModelShift(measure(), measure().normalize()),
-        lambda: ModelShift(measure(), measure()),
     ),
     "WabClassification": (
         WabClassification,
@@ -129,6 +123,13 @@ class TestRecord:
 def test_verdict_witness_defaults_to_a_fresh_dict():
     a, b = Verdict(YES, "f", "tag"), Verdict(YES, "f", "tag")
     assert a.witness == {} and a.witness is not b.witness and a.note == ""
+
+
+def test_positional_init_takes_one_value_per_field():
+    assert TypeLabel("II", 1).kind == "II"
+    for values in (("II",), ("II", 1, 2)):
+        with pytest.raises(TypeError, match="TypeLabel takes 2 values"):
+            TypeLabel(*values)
 
 
 def test_defaults():

@@ -188,18 +188,19 @@ class TestGrowthInequalities:
 
 class TestModelShift:
     def test_single_atom(self):
-        model = model_subnormal(trip(0.0, 0.0, [(4.0, 1.0)]))
-        assert model.mu0.atoms == ((4.0, 1.0),)
-        assert model.berger.atoms == ((4.0, 1.0),)
-        moments, weights = model.moments(5), model.weights(5)
+        t = trip(0.0, 0.0, [(4.0, 1.0)])
+        berger = model_subnormal(t)
+        assert defect_moment_measure(t).atoms == ((4.0, 1.0),)
+        assert berger.atoms == ((4.0, 1.0),)
+        moments, weights = berger.moments(5), berger.weights(5)
         for n in range(5):
             assert moments[n] == 4.0**n
             assert math.isclose(weights[n], 2.0, rel_tol=1e-12)
 
     def test_c_adds_unit_atom(self):
-        model = model_subnormal(trip(0.0, 0.5, [(4.0, 1.0)]))
-        assert model.mu0.atoms == ((1.0, 1.0), (4.0, 1.0))
-        assert model.berger.approx_equal(AtomicMeasure(((1.0, 0.5), (4.0, 0.5))))
+        t = trip(0.0, 0.5, [(4.0, 1.0)])
+        assert defect_moment_measure(t).atoms == ((1.0, 1.0), (4.0, 1.0))
+        assert model_subnormal(t).approx_equal(AtomicMeasure(((1.0, 0.5), (4.0, 0.5))))
 
     def test_degenerate_types_rejected(self):
         with pytest.raises(ModelDegenerateError):
@@ -208,9 +209,9 @@ class TestModelShift:
             model_subnormal(trip(0.0, 0.0))
 
     def test_berger_is_square_sqrt_fixed_point(self):
-        model = model_subnormal(trip(0.2, 0.3, [(0.5, 1.0), (2.5, 0.7)]))
-        roundtrip = model.berger.pushforward_sqrt().pushforward_square()
-        assert roundtrip.approx_equal(model.berger, 1e-12)
+        berger = model_subnormal(trip(0.2, 0.3, [(0.5, 1.0), (2.5, 0.7)]))
+        roundtrip = berger.pushforward_sqrt().pushforward_square()
+        assert roundtrip.approx_equal(berger, 1e-12)
 
 
 class TestAtomNextToOne:
@@ -224,9 +225,9 @@ class TestAtomNextToOne:
         assert v.witness["class_defect"] == (self.X, 0, 1.0)
 
     def test_model_keeps_both_atoms(self):
-        model = model_subnormal(trip(0.0, 0.5, [(self.X, 1.0)]))
-        assert model.mu0.atoms == ((1.0, 1.0), (self.X, 1.0))
-        assert model.berger.atoms == ((1.0, 0.5), (self.X, 0.5))
+        t = trip(0.0, 0.5, [(self.X, 1.0)])
+        assert defect_moment_measure(t).atoms == ((1.0, 1.0), (self.X, 1.0))
+        assert model_subnormal(t).atoms == ((1.0, 0.5), (self.X, 0.5))
 
     def test_berger_measure_below_one(self):
         x = 0.9999999999999
@@ -258,9 +259,8 @@ class TestDefectMomentIdentity:
         # moments of the normalized measure, rebuilt from model weights
         t = trip(0.1, 0.4, [(0.3, 0.6), (3.0, 1.1)])
         s = ShiftSequences(t)
-        model = model_subnormal(s)
-        total = model.mu0.total_mass()
-        weights = model.weights(33)
+        total = s.defect_measure.total_mass()
+        weights = model_subnormal(s).weights(33)
         acc = 1.0
         for n in range(33):
             assert math.isclose(s.gamma(n) * s.beta(n), total * acc, rel_tol=1e-9)

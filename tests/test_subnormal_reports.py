@@ -10,7 +10,14 @@ agree on Subnormal, a Subnormal report must not certify "not similar", no
 b-mismatch on a subnormal shift.  On some draws `similar` stops earlier, in
 the beta_1 self-check of its type check; test_type_check_holds pins two of
 them as expected failures.
+
+The shifts built from a Berger measure, nu = p (x - 1)^2 with p a probability
+measure, b = i1 and c = 0, have 1 - i2 on the rounding of 0.  On each that
+reads subnormal, `similar` must read Subnormal and its endpoint-atom block
+must raise none of its three flags nor certify "not subnormal".
 """
+
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -68,6 +75,30 @@ def test_reports_share_one_rounding_rule(t):
     assert (similar["verdict"] == "Subnormal") == (sub_report["verdict"] == "Subnormal")
     if similar["verdict"] == "Subnormal":
         assert not similar["necessary_conditions"].not_similar
+
+
+@st.composite
+def berger_built(draw):
+    """The shift whose Berger measure is a probability p on 1-3 points of (0, 1)
+    and perhaps one of (1, 5): nu = p (x - 1)^2, b = i1, c = 0."""
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    points = draw(st.lists(inside, min_size=1, max_size=3, unique=True))
+    points += draw(st.lists(st.floats(1.0, 5.0, exclude_min=True, exclude_max=True), max_size=1))
+    masses = draw(st.lists(st.floats(0.01, 1.0), min_size=len(points), max_size=len(points)))
+    total = math.fsum(masses)
+    nu = AtomicMeasure.from_atoms((x, m / total * (x - 1.0) ** 2) for x, m in zip(points, masses))
+    return ScalarTriplet(nu.resolvent_integrals()[0], 0.0, nu)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(berger_built())
+def test_kdwq_flags_read_the_subnormality_rule(t):
+    assume(validate_triplet(t).is_yes and is_subnormal(t).is_yes)
+    similar, _ = similar_report(t)
+    kdwq = similar["criteria"]["criterion_kdwq"].witness
+    assert not any(kdwq.get("not_subnormal_flags", {}).values()), kdwq
+    assert not kdwq.get("certifies_not_subnormal", False), kdwq
+    assert similar["verdict"] == "Subnormal"
 
 
 @pytest.mark.xfail(raises=(ArithmeticError, RuntimeError), strict=True)

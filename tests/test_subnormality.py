@@ -97,6 +97,17 @@ class TestHankelOracle:
         with pytest.raises(ValueError, match="moments"):
             hankel_psd_oracle([1.0] * 10, 8)
 
+    def test_overflowed_moments_are_inconclusive(self):
+        # gamma_n saturates to +inf from n = 2: no matrix to test, and no error
+        moments = ShiftSequences(trip(0.0, 0.0, [(1.5, 1e308), (1.6, 1e308)])).gammas(18)
+        assert moments[1] == 1.0 and moments[2] == math.inf
+        v = hankel_psd_oracle(moments, 8)
+        assert v.is_inconclusive and v.witness["decisive"] is False
+        assert v.note == "moments overflow the double range"
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="moments must be finite or"):
+                hankel_psd_oracle([1.0] * 17 + [bad], 8)
+
     def test_agreement_with_resolvent_test(self, subnormality_corpus):
         forced, perturbed = subnormality_corpus
         decisive_agree = 0
