@@ -17,16 +17,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, classify_type, validate_triplet
 from .quasiaffine import INTERTWINER_RTOL, intertwiner_defect, similarity_test
-from .similarity import (
-    MODEL_TAG,
-    ModelDegenerateError,
-    criterion_ineqsuf,
-    criterion_kdwq,
-    criterion_nyttrs,
-    criterion_weight_band,
-    model_subnormal,
-    similar_by_beta,
-)
+from .similarity import MODEL_TAG, ModelDegenerateError, model_subnormal, similar_by_beta
 from .subnormality import (
     NECESSARY_TAG,
     _dichotomy,
@@ -34,7 +25,6 @@ from .subnormality import (
     is_subnormal,
     necessary_conditions,
 )
-from .verdict import NotApplicableError, Verdict
 
 EXIT_DECIDED = 0
 EXIT_INPUT_ERROR = 1
@@ -219,9 +209,14 @@ def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[d
 
 
 def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, int]:
-    """Type, subnormality, necessary conditions and similarity criteria of t.
+    """Type, subnormality, necessary conditions and the similarity verdict of t.
 
-    n_max is unused: every criterion decides every index in closed form.
+    For type III the criteria block holds similar_by_beta alone, the one
+    criterion that decides similarity to the model shift: for atomic nu the
+    paper's sufficient criteria each need a top atom above 1, where it reads
+    yes already, so they stay in similarity.py as library functions and out
+    of the report.  n_max is unused: similar_by_beta decides every index in
+    closed form.
     """
     report, seqs, code = _validated_header(t, "similar")
     if seqs is None:
@@ -233,38 +228,26 @@ def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, in
     report["subnormal"] = sub
     report["necessary_conditions"] = nec
 
-    criteria: dict[str, object] = {}
-    dich = None
+    dich = beta = None
     if label.kind in ("I", "II"):
         dich = _dichotomy(label.kind, sub)
         report["dichotomy"] = dich
     else:
-        criteria["similar_by_beta"] = similar_by_beta(seqs)
-        criteria["criterion_kdwq"] = criterion_kdwq(seqs)
-        try:
-            criteria["criterion_nyttrs"] = criterion_nyttrs(seqs)
-        except NotApplicableError as exc:
-            criteria["criterion_nyttrs"] = {"skipped": str(exc)}
-        criteria["criterion_weight_band"] = criterion_weight_band(seqs)
-        criteria["criterion_ineqsuf"] = criterion_ineqsuf(seqs)
-        report["criteria"] = criteria
+        beta = similar_by_beta(seqs)
+        report["criteria"] = {"similar_by_beta": beta}
 
     # aggregation precedence: Subnormal > NotSimilar > Similar > Inconclusive
     if sub.is_yes:
         verdict, citation = "Subnormal", sub.citation
-    elif label.kind in ("I", "II") and dich is not None and dich.is_no:
+    elif dich is not None and dich.is_no:
         verdict, citation = "NotSimilar", dich.citation
     elif nec.not_similar:
         verdict = "NotSimilar"
         citation = f"{NECESSARY_TAG}({','.join(nec.failed_ids)})"
+    elif beta is not None and beta.is_yes:
+        verdict, citation = "Similar", beta.citation
     else:
-        firing = [
-            c for c in criteria.values() if isinstance(c, Verdict) and c.is_yes
-        ]
-        if firing:
-            verdict, citation = "Similar", firing[0].citation
-        else:
-            verdict, citation = "Inconclusive", ""
+        verdict, citation = "Inconclusive", ""
     report["verdict"] = verdict
     if citation:
         report["citation"] = citation

@@ -1,13 +1,20 @@
 """Criteria for similarity of a type-III shift to a subnormal shift, and the
 model subnormal shift itself.
 
-The criteria other than similar_by_beta are sufficient: their "no" means
-the hypotheses do not hold, never that similarity was refuted.
 similar_by_beta decides the uniform defect floor, which the model theorem
 makes equivalent to similarity to the model shift, so its "no" (a defect
 sequence that vanishes or tends to 0) is a negative certificate for that
 model.  The other negative certificates live elsewhere: the type I/II
 dichotomy and the necessary conditions.
+
+The criteria other than similar_by_beta are the paper's sufficient ones:
+their "no" means the hypotheses do not hold, never that similarity was
+refuted.  For an atomic nu each of them needs a top atom above 1, where
+similar_by_beta already reads yes, so none decides a verdict and the
+`similar` report runs similar_by_beta alone.  They stay as library
+functions: wab.generate_3uwre builds the paper's classes from
+criterion_ineqsuf, the benchmark's tracer (bench/spans.py) looks them up by
+name, and the tests check the paper's sufficiency theorems through them.
 
 Changing finitely many weights gives a similar shift, so no criterion takes
 a window: each decides every index in closed form from (b, c, nu) and reads
@@ -56,11 +63,13 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
     agree and to 0 otherwise.  Every beta_n of type III is positive, so the
     infimum is positive exactly when that limit is.  A limit of 0, and a
     defect measure that is zero (type I) or lives at the origin (type II,
-    beta_n = 0 from n = 1), is a definitive "no".  A positive limit is a
-    "yes" once a floor is certified.  With an atom of nu above 1 the floor
-    is _tail_floor from n = 0, which holds for every n, so no beta_n is read.
-    Without one the limit is positive only when c = 0 and A = L = 0 (within
-    their rounding), and then beta_n is a convex combination of the
+    beta_n = 0 from n = 1), is a definitive "no".  With an atom of nu above
+    1 both classes are led by the top atom theta, the limit is
+    (theta - 1)^2 > 0 and the answer is "yes"; the witness eps is
+    _tail_floor from n = 0, a floor for every n, so no beta_n is read.  The
+    yes stands where eps underflows to 0 or mass / K rounds to 0 (K = inf).
+    Without such an atom the limit is positive only when c = 0 and A = L = 0
+    (within their rounding), and then beta_n is a convex combination of the
     (1 - x)^2 over the atoms: the least of them floors every beta_n.
     """
     s = as_sequences(t)
@@ -78,19 +87,16 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
     class_gamma = gamma_growth_class(t)
     limit = mass / class_gamma[2] if class_gamma[:2] == (top, 0) else 0.0
     witness = {"class_gamma": class_gamma, "class_defect": (top, 0, mass), "limit": limit}
+    if t.nu.support_max() > 1.0:
+        eps = _tail_floor(t, 0)
+        witness.update({"tail_from": 0, "eps": eps})
+        note = "" if eps > 0.0 else "certified floor underflows to 0; the limit (theta-1)^2 > 0"
+        return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
     if limit == 0.0:
         note = "the defect moments grow slower than gamma, so beta_n tends to 0"
         return Verdict(NO, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
-    if not t.nu.support_max() > 1.0:
-        witness["eps"] = min((1.0 - p) ** 2 for p, _ in t.nu.atoms)
-        return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
-
-    eps = _tail_floor(t, 0)
-    witness.update({"tail_from": 0, "eps": eps})
-    if eps > 0.0:
-        return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
-    note = "certified floor underflows to 0"
-    return Verdict(INCONCLUSIVE, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
+    witness["eps"] = min((1.0 - p) ** 2 for p, _ in t.nu.atoms)
+    return Verdict(YES, "similar_by_beta", BETA_FLOOR_TAG, witness)
 
 
 def _power_peak(k: int, n_from: int, log_theta: float) -> float:

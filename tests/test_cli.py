@@ -173,6 +173,22 @@ class TestSimilar:
         code, doc = run_json(capsys, "similar", spec)
         assert (code, doc["verdict"], doc["citation"]) == (0, "Similar", "defect-floor-invertibility")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"b": 0, "c": 1e300, "nu": {"atoms": [[2.0, 1e-300]]}}',
+            '{"b": 0, "c": 0, "nu": {"atoms": [[0.5, 1e300], [1.000001, 1e-300]]}}',
+            '{"b": 0, "c": 0, "nu": {"atoms": [[1.000001, 1e300]]}}',
+        ],
+        ids=["c-1e300", "mass-below-1e300", "top-mass-1e300"],
+    )
+    def test_atom_above_one_reads_the_limit(self, capsys, spec):
+        # the closed-form floor underflows to 0 (and on the last spec K = mass / (theta-1)^2
+        # overflows to inf), but the limit (theta-1)^2 is positive and every beta_n is
+        code, doc = run_json(capsys, "similar", spec)
+        assert (code, doc["verdict"], doc["citation"]) == (0, "Similar", "defect-floor-invertibility")
+        assert list(doc["criteria"]) == ["similar_by_beta"]
+
     def test_subnormal_takes_precedence(self, capsys):
         # gamma_n = 0.01^n and 0.1^n, which cancel to rounding in the float sums
         decaying = (
@@ -447,24 +463,24 @@ class TestGoldenBytes:
     NEAR_ONE = '{"b": 0.5, "c": 0.0, "nu": {"atoms": [[0.5, 1.0], [1.00019, 1.0]]}}'
     SPECS = {"readme": ATOM2, "mixed": MIXED, "near_one": NEAR_ONE}
     DIGESTS = {
-        ("similar", "readme", 0): "79e6c526ad6a84bd1aeae52a832aa3254ab24d07872ed1b0b7cd2b79b37886aa",
-        ("similar", "readme", 2): "8dcf99ddf4e127b5916261a1719473c824db3102c41d76ebb531dc02a41d6637",
+        ("similar", "readme", 0): "35d3ecbfbbf13177398dad23eab212debdcb6dea37f63eb1681bf4c91b4004fe",
+        ("similar", "readme", 2): "a0dd0c289e92bc11a78c4fc8ae8ffe7731c31eecaa1e5be3b9f52af014f70862",
         ("model", "readme", 0): "a2f7a05620266456c1a6e0787c2afd1798143fc6ed20e660a6674f6a72a1752a",
         ("model", "readme", 2): "90a1c29e4922c700be1fe3c561c2f9321ade16e9297f2f480bc610a4e8477604",
         ("classify", "readme", 0): "5cc958ae2e9cc629918e0c414edb2fba65ddef586da006390e4356613cef3a9d",
         ("classify", "readme", 2): "8be55f2eab223eb73c6016a9208f90102171939148e65d8949468fba49ebf038",
         ("compare", "readme", 0): "df96eb35a3714e63004215317e114958a6ed41239590e5fa017fa4745538e736",
         ("compare", "readme", 2): "1060d95b2071f4439701718721e5b940a8e348c0c995467988a84336c2e2dbfe",
-        ("similar", "mixed", 0): "1274b1d3baa4d6e26ae5754cb9aeacb8304117644c2a906e39fc0d2a3fb5b58f",
-        ("similar", "mixed", 2): "6397d3bf44c867618002e3fa15704176a6b097af68ae1d28cd220eb213bacb03",
+        ("similar", "mixed", 0): "e2eecc8029ce1427bfc40aa4e50157cc74280469dd3426d400a8b94c7e0ac50d",
+        ("similar", "mixed", 2): "144121adc02c2c970641fe97ac31c99c9b71db5d8351bb82ef29bc7d69ff1f63",
         ("model", "mixed", 0): "67856fb911ea5d617800e9192b743a42d2ad6df2c41fa188396a2e41d0393e7c",
         ("model", "mixed", 2): "e281506a6520aad33059878ca200821c992b0e778f52783c6875edfccf0939bd",
         ("classify", "mixed", 0): "531cdf79bca59d619d9812e16ad5e50b23c66e5f794638c089f73fa5dbb5d137",
         ("classify", "mixed", 2): "1e89a88f11a5e1d5dc157eff1eab0e91f03667b8d883a53e6f46f141c0d6ac33",
         ("compare", "mixed", 0): "aad9db3dd62b6608179aebc36626b6e3c6ef79578d6d7a3754fffe28e7bbebea",
         ("compare", "mixed", 2): "50fb550fe45ed35d3f3af9135bb7713ca18abc7fea97729b3e73176470ac684b",
-        ("similar", "near_one", 0): "899cfc489912a8bd9ed9d425194f48dc92d7acf77ccf508c154258c934edd501",
-        ("similar", "near_one", 2): "ebe2cebbf94c9a8cb85cdc9153d0de62f188021180b86d9ae2c5ce715a3f7c1e",
+        ("similar", "near_one", 0): "4f0757d3d3e378839ac9dbf99af4067fa9d5da4f3a12b13eef3bfe74573a35d2",
+        ("similar", "near_one", 2): "497f8088bb2880d43d2fb3184d1ddc667f9fd74a6e9d3c32b2319ee4acabe0c9",
         ("model", "near_one", 0): "578625d8265a4921e66f84f3e9d318f479d09919ef12de4e18157597d3f12b6c",
         ("model", "near_one", 2): "c5c941d605769e5cc762843233928746103990c2a9938c85f0c365b64cca56e8",
         ("classify", "near_one", 0): "1448c71c98b6fcb320568ab25a2008566040b458183d2815d71bf55e64ded6fb",

@@ -277,8 +277,9 @@ class TestCriteriaConsistency:
                 continue
             fired = (
                 criterion_kdwq(s).is_yes
+                or (s.triplet.nu.support_max() > 1.0 and criterion_nyttrs(s).is_yes)
                 or criterion_weight_band(s).is_yes
                 or criterion_ineqsuf(s).is_yes
             )
             if fired:
-                assert not similar_by_beta(s).is_no
+                assert similar_by_beta(s).is_yes

@@ -8,13 +8,13 @@ necessary conditions read.  So the `subnormal` and `similar` reports must
 agree on Subnormal, a Subnormal report must not certify "not similar", no
 `subnormal` report is Inconclusive, and the endpoint-atom criterion flags no
 b-mismatch on a subnormal shift.  On some draws `similar` stops earlier, in
-the beta_1 self-check of its type check; test_type_check_holds pins two of
-them as expected failures.
+the beta_1 self-check of its type check; test_type_check_holds pins such
+triplets as expected failures.
 
 The shifts built from a Berger measure, nu = p (x - 1)^2 with p a probability
 measure, b = i1 and c = 0, have 1 - i2 on the rounding of 0.  On each that
-reads subnormal, `similar` must read Subnormal and its endpoint-atom block
-must raise none of its three flags nor certify "not subnormal".
+reads subnormal, `similar` must read Subnormal and the endpoint-atom
+criterion must raise none of its three flags nor certify "not subnormal".
 """
 
 import math
@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpdshift import AtomicMeasure, ScalarTriplet, criterion_kdwq, is_subnormal, validate_triplet
-from cpdshift.cli import similar_report, subnormal_report
+from cpdshift.cli import compare_report, similar_report, subnormal_report
 
 
 def log_uniform(lo: float, hi: float):
@@ -95,7 +95,7 @@ def berger_built(draw):
 def test_kdwq_flags_read_the_subnormality_rule(t):
     assume(validate_triplet(t).is_yes and is_subnormal(t).is_yes)
     similar, _ = similar_report(t)
-    kdwq = similar["criteria"]["criterion_kdwq"].witness
+    kdwq = criterion_kdwq(t).witness
     assert not any(kdwq.get("not_subnormal_flags", {}).values()), kdwq
     assert not kdwq.get("certifies_not_subnormal", False), kdwq
     assert similar["verdict"] == "Subnormal"
@@ -109,10 +109,35 @@ def test_kdwq_flags_read_the_subnormality_rule(t):
         ScalarTriplet(-0.1, 0.0, AtomicMeasure(((5e-324, 0.1),))),
         # gamma_1 = 1 + b = 1e-15: the weight route to beta_1 loses every digit
         ScalarTriplet(-0.999999999999999, 0.0, AtomicMeasure(((0.0, 1.0),))),
+        # beta_1 = w x / gamma_1 = 1.5e-200 / 1e300 underflows to 0
+        ScalarTriplet(1e300, 0.0, AtomicMeasure(((1.5, 1e-200),))),
     ],
-    ids=["subnormal-float-atom", "type-two-gamma1-1e-15"],
+    ids=["subnormal-float-atom", "type-two-gamma1-1e-15", "type-three-beta1-underflow"],
 )
 def test_type_check_holds(t):
     """Valid triplets on which rounding breaks classify_type's beta_1 self-check."""
     assert validate_triplet(t).is_yes
     similar_report(t)
+
+
+# w / (x - 1)^2 = 5e-324 / 4 underflows to 0: the Berger mass at the atom and the
+# leading coefficient K of gamma's growth class
+TINY_TOP_ATOM = ScalarTriplet(0.0, 0.0, AtomicMeasure(((3.0, 5e-324),)))
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True)
+@pytest.mark.parametrize(
+    "report",
+    [similar_report, lambda t: subnormal_report(t, 8, 1e-8)],
+    ids=["similar", "subnormal"],
+)
+def test_berger_mass_holds(report):
+    """berger_measure builds an atom of mass 0, which AtomicMeasure rejects."""
+    assert validate_triplet(TINY_TOP_ATOM).is_yes
+    report(TINY_TOP_ATOM)
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True)
+def test_growth_class_coefficient_holds():
+    """quasi_affine_test divides by the two K values, both 0."""
+    compare_report(TINY_TOP_ATOM, TINY_TOP_ATOM)
