@@ -15,7 +15,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, classify_type, validate_triplet
+from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, as_sequences, classify_type
+from .core import validate_triplet  # noqa: F401  (t.validation calls it; bench/spans.py traces it)
 from .quasiaffine import INTERTWINER_RTOL, intertwiner_defect, similarity_test
 from .similarity import MODEL_TAG, ModelDegenerateError, model_subnormal, similar_by_beta
 from .subnormality import (
@@ -161,16 +162,16 @@ def load_triplet(spec: str) -> ScalarTriplet:
 
 
 def _validated_header(t: ScalarTriplet, command: str) -> tuple[dict, ShiftSequences | None, int]:
-    """Validate t and open its report with the keys input, valid and command.
+    """Open the report of t with the keys input, valid and command.
 
     Returns (report, sequences, exit code).  When t is not validated the
     sequences are None, and the report, verdict included, and the exit code
     are final.
     """
-    v = validate_triplet(t)
+    v = t.validation
     report = {"input": t, "valid": v, "command": command}
     if v.is_yes:
-        return report, ShiftSequences(t, validation=v), EXIT_DECIDED
+        return report, as_sequences(t), EXIT_DECIDED
     report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
     return report, None, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
 
@@ -284,15 +285,12 @@ def compare_report(
     n_max is unused: the growth classes of two triplets need no window.
     """
     report: dict = {"command": "compare", "input_a": ta, "input_b": tb}
-    seqs = []
     for name, t in (("a", ta), ("b", tb)):
-        v = validate_triplet(t)
-        report[f"valid_{name}"] = v
+        v = report[f"valid_{name}"] = t.validation
         if not v.is_yes:
             report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
             return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
-        seqs.append(ShiftSequences(t, validation=v))
-    seqs_a, seqs_b = seqs
+    seqs_a, seqs_b = as_sequences(ta), as_sequences(tb)
     sim = similarity_test(seqs_a, seqs_b)
     defect, scale = intertwiner_defect(seqs_a, seqs_b, m=32)
     report["similarity"] = sim
@@ -466,13 +464,13 @@ def _run_command(args) -> int:
 
     if args.cmd == "series":
         t = load_triplet(args.spec)
-        v = validate_triplet(t)
+        v = t.validation
         if v.is_no:
             raise InputError(f"triplet is not a valid shift generator: {v.outcome}")
         if v.is_inconclusive:
             print(f"inconclusive: {v.note or 'validation undecided'}", file=sys.stderr)
             return EXIT_INCONCLUSIVE
-        rows = list(series_rows(ShiftSequences(t, validation=v), args.n_max))
+        rows = list(series_rows(as_sequences(t), args.n_max))
         if args.fmt == "csv":
             print("n,gamma,lambda,beta,log_gamma")
             for r in rows:

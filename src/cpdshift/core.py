@@ -19,11 +19,11 @@ The terms of g_n are written once, in _g_terms, in one of two coefficient sets:
 the Q form above, and the limit form sum w x^n / (x-1)^2, the same gamma_n
 where c = 0, every atom lies below 1 and limit_coefficients reads A = L = 0,
 which neither cancels nor underflows as gamma_n decays.  ShiftSequences keeps
-g_n for n < PREFIX_WINDOW in a prefix, its only cache, built in blocks stepped
-from those terms by _g_block, and derives log gamma_n and beta_n from it on
-read; past the window g_n is the direct sum of the terms, one index at a time.
-Every beta read checks the closed form against the weight route at each index
-it returns.
+g_n for n < PREFIX_WINDOW in a prefix, built in blocks stepped from those
+terms by _g_block, and derives log gamma_n and beta_n from it on read; past
+the window g_n is the direct sum of the terms, one index at a time.  Every
+beta read checks the closed form against the weight route at each index it
+returns.  The only other values kept are those a ScalarTriplet object owns.
 
 Each per-index read has a bulk read (gammas, log_gammas, weights, betas) that
 returns every n < count in one pass with the same float operations: the same
@@ -59,7 +59,18 @@ VALIDATION_TAG = "triplet-positivity"
 CLASSIFY_TAG = "defect-type-classification"
 
 
-class ScalarTriplet(Record):
+class _Owner(Record):
+    __slots__ = ("_derived",)  # what is made from the object; Record's fields omit it
+
+    def _own(self, key: str, make, *args):
+        """The value under key: make(*args) on the first read, kept in the object."""
+        value = self._derived.get(key)
+        if value is None:  # setdefault keeps the first value made, should two threads race
+            value = self._derived.setdefault(key, make(*args))
+        return value
+
+
+class ScalarTriplet(_Owner):
     """Generating data (b, c, nu) of a CPD weighted shift candidate."""
 
     __slots__ = ("b", "c", "nu")
@@ -76,6 +87,12 @@ class ScalarTriplet(Record):
         _set(self, "b", b)
         _set(self, "c", c)
         _set(self, "nu", nu)
+        _set(self, "_derived", {})
+
+    # validate_triplet(t) and the resolvent sums (i1, i2) of nu: like limit_coefficients,
+    # as_sequences and classify_type, made on the first read and owned by the object
+    validation = property(lambda t: t._own("validation", validate_triplet, t))
+    resolvent = property(lambda t: t._own("resolvent", t.nu.resolvent_integrals))
 
     def to_json(self) -> dict:
         return {"b": self.b, "c": self.c, "nu": self.nu.to_json()}
@@ -112,7 +129,11 @@ def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
     the origin, gamma_n = A + L n for n >= 1 and the computed pair stands.
     Every decision on the signs of L and A reads this pair.
     """
-    i1, i2 = t.nu.resolvent_integrals()
+    return t._own("coefficients", _limit_coefficients, t)
+
+
+def _limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
+    i1, i2 = t.resolvent
     slope, constant = t.b - i1, 1.0 - i2
     scale = abs(t.b) + math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
     flat_slope = abs(slope) <= ROUNDING * scale < math.inf
@@ -396,9 +417,9 @@ def _checked_betas(start: int, defect, theta: float, g) -> list[float]:
 class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
 
-    The single per-triplet owner of the validation verdict, of the scaled prefix
-    g_n and of the defect measure nu + 2c at 1: criteria and reports take one
-    instance in place of the triplet instead of evaluating again.
+    The owner of the scaled prefix g_n and of the defect measure nu + 2c at 1.
+    ShiftSequences(t) builds a new one; criteria and reports share the one
+    that as_sequences(t) returns, which the triplet object owns.
 
     The prefix holds g_n only; log gamma_n = n log theta + log g_n is derived
     on read.  Each prefix block comes from _g_block, which steps the atom
@@ -421,14 +442,13 @@ class ShiftSequences:
     pass over g.
     """
 
-    def __init__(self, triplet: ScalarTriplet, validation: Verdict | None = None):
-        v = validation if validation is not None else validate_triplet(triplet)
+    def __init__(self, triplet: ScalarTriplet):
+        v = triplet.validation
         if not v.is_yes:
             raise InvalidTripletError(
                 f"triplet failed positivity validation ({v.outcome}): {v.witness}"
             )
         self.triplet = triplet
-        self.validation = v
         self.defect_measure = defect_moment_measure(triplet)
         self._limit = v.witness.get("branch") == "limit" and v.witness["gamma_limit"] == 0.0
         # the limit form decays like its top atom, which scales it into the double range;
@@ -531,11 +551,11 @@ class ShiftSequences:
 
 
 def as_sequences(t: ScalarTriplet | ShiftSequences) -> ShiftSequences:
-    """t itself if it is a ShiftSequences, else the sequences of the triplet t.
+    """t itself if it is a ShiftSequences, else the sequences that the triplet t owns.
 
     Raises InvalidTripletError for a triplet that fails validation.
     """
-    return t if isinstance(t, ShiftSequences) else ShiftSequences(t)
+    return t if isinstance(t, ShiftSequences) else t._own("sequences", ShiftSequences, t)
 
 
 def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
@@ -547,6 +567,10 @@ def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
     growing the prefix.
     """
     s = as_sequences(t)
+    return s.triplet._own("type", _checked_label, s)
+
+
+def _checked_label(s: ShiftSequences) -> TypeLabel:
     nu, c = s.triplet.nu, s.triplet.c
     if nu.is_zero and c == 0.0:
         label = TypeLabel("I", 0)

@@ -145,20 +145,27 @@ class AtomicMeasure(Record):
         except OverflowError:  # a power or a sum past the double range
             return [self.moment(n) for n in range(count)]
 
+    def _scaled_sums(self, top: float, count: int) -> list[float]:
+        """S_n = moment(n) / top^n = fsum m (p/top)^n for every n < count, top > 0 the top point."""
+        columns = [[m * (p / top) ** n for n in range(count)] for p, m in self.atoms]
+        return [math.fsum(row) for row in zip(*columns)]
+
     def log_moments(self, count: int) -> list[float]:
-        """log_moment(n) for every n < count: one column of m (p/top)^n per atom."""
+        """log_moment(n) for every n < count: n log(top) + log S_n."""
         top = self.support_max()
         if not top > 0.0:
             return [self.log_moment(n) for n in range(count)]
         log_top = math.log(top)
-        columns = [[m * (p / top) ** n for n in range(count)] for p, m in self.atoms]
-        return [n * log_top + math.log(math.fsum(row)) for n, row in enumerate(zip(*columns))]
+        return [n * log_top + math.log(s) for n, s in enumerate(self._scaled_sums(top, count))]
 
     def weights(self, count: int) -> list[float]:
         """sqrt(moment(n+1) / moment(n)) for every n < count: the weights of the shift
-        whose Berger measure this is, read from log_moments."""
-        logs = self.log_moments(count + 1)
-        return [math.exp(0.5 * (b - a)) for a, b in zip(logs, logs[1:])]
+        whose Berger measure this is, sqrt(top (S_{n+1} / S_n)) from the sums of log_moments."""
+        top = self.support_max()
+        if not top > 0.0:  # every moment past the 0-th is 0: 0 / (mass at the origin), then 0/0
+            return [0.0 if n == 0 and self.atoms else math.nan for n in range(count)]
+        sums = self._scaled_sums(top, count + 1)
+        return [math.sqrt(top * (b / a)) for a, b in zip(sums, sums[1:])]
 
     def integrate_q(self, n: int) -> float:
         """Integral of the kernel polynomial q_poly(n, .) against the measure."""

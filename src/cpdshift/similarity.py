@@ -137,7 +137,7 @@ def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
     """
     theta, mass = t.nu.atoms[-1]
     log_theta = math.log1p(theta - 1.0)
-    i1, i2 = t.nu.resolvent_integrals()
+    i1, i2 = t.resolvent
     slope, constant = t.b - i1, 1.0 - i2
     i1_abs = math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
     coeffs = (

@@ -39,7 +39,7 @@ def is_subnormal(t: ScalarTriplet | ShiftSequences) -> Verdict:
     formal moments.
     """
     t = as_sequences(t).triplet
-    i1, i2 = t.nu.resolvent_integrals()
+    i1, i2 = t.resolvent
     slope, constant = limit_coefficients(t)
     conditions = {
         "second_resolvent_at_most_one": constant >= 0.0,

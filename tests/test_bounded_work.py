@@ -1,8 +1,10 @@
 """Seeded property test: similar and model reports finish after bounded work.
 
 Validation makes O(log n) kernel evaluations up to the index limit 2^53, and
-the reports read beta_1 of their type checks and no other beta or gamma.  The
-type check reads it from a 4-entry block of g, so no report grows the prefix,
+the reports read beta_1 of their type check and no other beta or gamma.  The
+triplet object owns its validation verdict and its type label, so the two
+reports on one triplet validate it once and type-check it once.  The type
+check reads beta_1 from a 4-entry block of g, so no report grows the prefix,
 and the counts below hold for every triplet, whatever its slope or its distance
 of the top atom to 1.
 """
@@ -17,13 +19,13 @@ from cpdshift import AtomicMeasure, ScalarTriplet, ShiftSequences, core
 from cpdshift.cli import model_report, similar_report
 
 N_SCAN, N_MODEL = 512, 32
-# two validations, each at most 4 kernel calls per doubling of the exit index, up to 2^53
-MAX_GAMMA_CALLS = 2 * 4 * (math.log2(core.INDEX_LIMIT) + 1)
+# one validation, at most 4 kernel calls per doubling of the exit index, up to 2^53
+MAX_GAMMA_CALLS = 4 * (math.log2(core.INDEX_LIMIT) + 1)
 # the type check's beta_1 reads g_1 .. g_3 from its own block, not from the prefix
 MAX_PREFIX = 0
-# every read checks the betas it returns and no others: beta_1 for each type check,
-# one in each report; a type I or II similar builds its dichotomy verdict from its own
-MAX_CHECKED = 2
+# every read checks the betas it returns and no others: beta_1 of the one type check,
+# whose label both reports read, as does the dichotomy verdict of a type I or II similar
+MAX_CHECKED = 1
 
 
 def trip(b, c, pairs):

@@ -98,10 +98,15 @@ class ModelReads:
 
     def __init__(self, berger: AtomicMeasure):
         self.moments, self.weights = berger.moments, berger.weights
-        self.moment, self.log_moment = berger.moment, berger.log_moment
+        self.moment, self.atoms = berger.moment, berger.atoms
 
     def weight(self, n):
-        return math.exp(0.5 * (self.log_moment(n + 1) - self.log_moment(n)))
+        """sqrt(top (S_{n+1} / S_n)) with S_k = sum m (p/top)^k = moment(k) / top^k."""
+        top = self.atoms[-1][0] if self.atoms else -math.inf
+        if not top > 0.0:  # every moment past the 0-th is 0: 0 after a mass at the origin, then 0/0
+            return 0.0 if n == 0 and self.atoms else math.nan
+        a, b = (math.fsum(m * (p / top) ** k for p, m in self.atoms) for k in (n, n + 1))
+        return math.sqrt(top * (b / a))
 
 
 def check_reads(make, reads, counts=COUNTS):

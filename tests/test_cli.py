@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import cpdshift
 import numpy as np
 import pytest
+from conftest import triplets
 from cpdshift import (
     INCONCLUSIVE,
     YES,
@@ -34,9 +36,12 @@ from cpdshift.cli import (
     load_triplet,
     main,
     model_report,
+    series_rows,
     similar_report,
     subnormal_report,
 )
+from cpdshift.core import as_sequences
+from hypothesis import given, settings
 
 ATOM2 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[2.0, 1.0]]}}'
 W13 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[0.0, 2.0]]}}'
@@ -278,19 +283,19 @@ class TestValidationOutcomes:
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_compare_inconclusive_side(self, monkeypatch, side):
-        monkeypatch.setattr("cpdshift.cli.validate_triplet", self._undecided_on_call(side))
+        monkeypatch.setattr("cpdshift.core.validate_triplet", self._undecided_on_call(side))
         report, code = compare_report(load_triplet(ATOM2), load_triplet(ISO), 512)
         assert (report["verdict"], code) == ("Inconclusive", 2)
 
     def test_classify_inconclusive(self, monkeypatch):
         # the same verdict the compare report gives
-        monkeypatch.setattr("cpdshift.cli.validate_triplet", self._undecided_on_call(0))
+        monkeypatch.setattr("cpdshift.core.validate_triplet", self._undecided_on_call(0))
         report, code = classify_report(load_triplet(ATOM2), 64)
         assert (report["verdict"], code) == ("Inconclusive", 2)
 
     def test_series_inconclusive(self, monkeypatch, capsys):
         # the exit code the other reports give, the reason on stderr
-        monkeypatch.setattr("cpdshift.cli.validate_triplet", self._undecided_on_call(0))
+        monkeypatch.setattr("cpdshift.core.validate_triplet", self._undecided_on_call(0))
         code = main(["series", ATOM2])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
@@ -465,24 +470,24 @@ class TestGoldenBytes:
     DIGESTS = {
         ("similar", "readme", 0): "35d3ecbfbbf13177398dad23eab212debdcb6dea37f63eb1681bf4c91b4004fe",
         ("similar", "readme", 2): "a0dd0c289e92bc11a78c4fc8ae8ffe7731c31eecaa1e5be3b9f52af014f70862",
-        ("model", "readme", 0): "a2f7a05620266456c1a6e0787c2afd1798143fc6ed20e660a6674f6a72a1752a",
-        ("model", "readme", 2): "90a1c29e4922c700be1fe3c561c2f9321ade16e9297f2f480bc610a4e8477604",
+        ("model", "readme", 0): "f39d2871c9d3c6d25f97836b59901580466663da0db89b78f8904adb0a230ec4",
+        ("model", "readme", 2): "29161d4a46582191ae30ec8e09fdf7ca9f6ad42939fbd8cb8661b5ed0cc9c83d",
         ("classify", "readme", 0): "5cc958ae2e9cc629918e0c414edb2fba65ddef586da006390e4356613cef3a9d",
         ("classify", "readme", 2): "8be55f2eab223eb73c6016a9208f90102171939148e65d8949468fba49ebf038",
         ("compare", "readme", 0): "df96eb35a3714e63004215317e114958a6ed41239590e5fa017fa4745538e736",
         ("compare", "readme", 2): "1060d95b2071f4439701718721e5b940a8e348c0c995467988a84336c2e2dbfe",
         ("similar", "mixed", 0): "e2eecc8029ce1427bfc40aa4e50157cc74280469dd3426d400a8b94c7e0ac50d",
         ("similar", "mixed", 2): "144121adc02c2c970641fe97ac31c99c9b71db5d8351bb82ef29bc7d69ff1f63",
-        ("model", "mixed", 0): "67856fb911ea5d617800e9192b743a42d2ad6df2c41fa188396a2e41d0393e7c",
-        ("model", "mixed", 2): "e281506a6520aad33059878ca200821c992b0e778f52783c6875edfccf0939bd",
+        ("model", "mixed", 0): "e60df20c5c6a951fbd00acd0cfaf4b6db5d3733eccde150a30ccca62aad7b11a",
+        ("model", "mixed", 2): "fee3eeb28b54a712974b2b69ee2e1e102ba2bcfa2a93ea540ed6cbcc3ff817b0",
         ("classify", "mixed", 0): "531cdf79bca59d619d9812e16ad5e50b23c66e5f794638c089f73fa5dbb5d137",
         ("classify", "mixed", 2): "1e89a88f11a5e1d5dc157eff1eab0e91f03667b8d883a53e6f46f141c0d6ac33",
         ("compare", "mixed", 0): "aad9db3dd62b6608179aebc36626b6e3c6ef79578d6d7a3754fffe28e7bbebea",
         ("compare", "mixed", 2): "50fb550fe45ed35d3f3af9135bb7713ca18abc7fea97729b3e73176470ac684b",
         ("similar", "near_one", 0): "4f0757d3d3e378839ac9dbf99af4067fa9d5da4f3a12b13eef3bfe74573a35d2",
         ("similar", "near_one", 2): "497f8088bb2880d43d2fb3184d1ddc667f9fd74a6e9d3c32b2319ee4acabe0c9",
-        ("model", "near_one", 0): "578625d8265a4921e66f84f3e9d318f479d09919ef12de4e18157597d3f12b6c",
-        ("model", "near_one", 2): "c5c941d605769e5cc762843233928746103990c2a9938c85f0c365b64cca56e8",
+        ("model", "near_one", 0): "d6668598f9e97a0edd9e86abd761481ca5bfc82cde9ad6ad4a7a883344e54c9f",
+        ("model", "near_one", 2): "333572f96b7da92984b71cf4a03b534dd60998278ce70588d2efb59088272266",
         ("classify", "near_one", 0): "1448c71c98b6fcb320568ab25a2008566040b458183d2815d71bf55e64ded6fb",
         ("classify", "near_one", 2): "952aad24732355759ff5445251f36c90da4a12076f9a235622ccb59b8dd9c4a6",
         ("compare", "near_one", 0): "bef97fc537b97df3e5e1bc76278830307a839648bfa0bcd159939699d9f1a291",
@@ -602,6 +607,70 @@ class TestUsageErrors:
         assert code == 0 and doc["beta"]["min_over_1_to_n_max"] == pytest.approx(0.4)
         code, doc = run_json(capsys, "model", low, "--n-max", "1")
         assert code == 0 and len(doc["model"]["moments"]) == len(doc["model"]["weights"]) == 1
+
+
+class TestOwnedValues:
+    """What a triplet object owns is scoped to the object, and changes no report byte."""
+
+    REPORTS = {
+        "similar": lambda t: dumps(similar_report(t, 512)[0]),
+        "model": lambda t: dumps(model_report(t, 32)[0]),
+        "classify": lambda t: dumps(classify_report(t, 64)[0]),
+        "subnormal": lambda t: dumps(subnormal_report(t, 8, 1e-8)[0]),
+        "compare": lambda t: dumps(compare_report(t, load_triplet(ATOM2), 64)[0]),
+        "series": lambda t: dumps(list(series_rows(as_sequences(t), 8))),
+    }
+
+    def test_each_object_validates_once(self, monkeypatch):
+        calls, validate = [], core.validate_triplet
+
+        def counted(t):
+            calls.append(t)
+            return validate(t)
+
+        monkeypatch.setattr(core, "validate_triplet", counted)
+        spec = TestGoldenBytes.MIXED
+        ta, tb = load_triplet(spec), load_triplet(spec)
+        for t in (ta, tb, ta, tb):
+            similar_report(t, 512)
+            model_report(t, 32)
+        # one call for each object, though the two are equal
+        assert [id(t) for t in calls] == [id(ta), id(tb)]
+        # equality, hash, repr and pickling read the fields alone
+        fresh = load_triplet(spec)
+        assert ta == tb == fresh and hash(ta) == hash(fresh) and repr(ta) == repr(fresh)
+        assert pickle.dumps(ta) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(ta))
+        similar_report(copy, 512)
+        assert copy == ta and [id(t) for t in calls] == [id(ta), id(tb), id(copy)]
+
+    @classmethod
+    def _text(cls, kind, t):
+        """The report text of kind on t, or the exception that the report raises."""
+        try:
+            return cls.REPORTS[kind](t)
+        except Exception as exc:  # the pinned self-check failures raise alike on each
+            return type(exc), str(exc)
+
+    def check_identical(self, spec):
+        """Every report of spec reads the same on a fresh triplet as after similar or model."""
+        for kind in self.REPORTS:
+            texts = []
+            for first in (None, "similar", "model"):
+                t = load_triplet(spec)
+                if first is not None:
+                    self._text(first, t)
+                texts.append(self._text(kind, t))
+            assert texts[0] == texts[1] == texts[2], (kind, spec)
+
+    @pytest.mark.parametrize("name", sorted(TestGoldenBytes.SPECS))
+    def test_golden_specs_read_alike(self, name):
+        self.check_identical(TestGoldenBytes.SPECS[name])
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(triplets())
+    def test_drawn_triplets_read_alike(self, t):
+        self.check_identical(json.dumps(t.to_json()))
 
 
 class TestSharedSequences:

@@ -1,11 +1,20 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from conftest import triplets
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpdshift import AtomicMeasure, point_mass, zero_measure
+from cpdshift import (
+    AtomicMeasure,
+    ModelDegenerateError,
+    model_subnormal,
+    point_mass,
+    validate_triplet,
+    zero_measure,
+)
 
 
 def measures(max_atoms=4, max_point=5.0):
@@ -200,3 +209,43 @@ class TestJson:
     def test_rejects_missing_atoms_key(self):
         with pytest.raises(ValueError, match="atoms"):
             AtomicMeasure.from_json({})
+
+
+class TestWeights:
+    """AtomicMeasure.weights against sqrt(moment(n+1) / moment(n)) in exact arithmetic."""
+
+    COUNT = 32
+    # two ulps: the rounded ratio, its product with the top point and the square root
+    RTOL = 4.5e-16
+
+    @staticmethod
+    def max_relative_error(berger: AtomicMeasure, count: int) -> float:
+        atoms = [(Fraction(p), Fraction(m)) for p, m in berger.atoms]
+        moments = [sum(m * p**n for p, m in atoms) for n in range(count + 1)]
+        worst = 0.0
+        for n, w in enumerate(berger.weights(count)):
+            # w / exact - 1 = (x - 1) / (sqrt(x) + 1) with x = w^2 / exact^2
+            x = Fraction(w) ** 2 * moments[n] / moments[n + 1]
+            worst = max(worst, abs(float(x - 1)) / (math.sqrt(float(x)) + 1.0))
+        return worst
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(triplets())
+    def test_berger_weights_match_the_exact_ratio(self, t):
+        assume(validate_triplet(t).is_yes)
+        try:
+            berger = model_subnormal(t)
+        except (ModelDegenerateError, ArithmeticError, RuntimeError):
+            assume(False)  # types I and II, and the pinned self-check failures
+        assert self.max_relative_error(berger, self.COUNT) <= self.RTOL
+
+    def test_unnormalized_masses_stay_finite(self):
+        # top * (S_n+1 / S_n): the ratio is taken first, so 1e10 * 1e300 is never formed
+        weights = AtomicMeasure(((0.5, 1e300), (1e10, 1e300))).weights(3)
+        assert all(math.isfinite(w) and w > 0.0 for w in weights), weights
+
+    def test_no_positive_point(self):
+        assert all(math.isnan(w) for w in zero_measure().weights(3))
+        zero, *rest = point_mass(0.0, 0.7).weights(3)
+        assert zero == 0.0 and all(math.isnan(w) for w in rest)
+        assert zero_measure().weights(0) == point_mass(0.0).weights(0) == []
