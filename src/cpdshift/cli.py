@@ -13,19 +13,24 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, as_sequences, classify_type
+from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, TypeLabel, as_sequences
+from .core import classify_type
 from .core import validate_triplet  # noqa: F401  (t.validation calls it; bench/spans.py traces it)
+from .measures import AtomicMeasure
 from .quasiaffine import INTERTWINER_RTOL, intertwiner_defect, similarity_test
 from .similarity import MODEL_TAG, ModelDegenerateError, model_subnormal, similar_by_beta
 from .subnormality import (
     NECESSARY_TAG,
+    NecessaryReport,
     _dichotomy,
     hankel_psd_oracle,
     is_subnormal,
     necessary_conditions,
 )
+from .verdict import Verdict
 
 EXIT_DECIDED = 0
 EXIT_INPUT_ERROR = 1
@@ -64,6 +69,12 @@ def dumps(obj, indent: int = 0) -> str:
     by value, report objects through their to_json, numpy scalars and arrays
     through tolist.  dict keys print as str(key).  Non-finite floats print as
     the strings "nan", "inf" and "-inf".
+
+    Five records, matched by exact type, print the text of their to_json from
+    their fields, with no dict built: Verdict, its witness not copied,
+    TypeLabel, NecessaryReport, and AtomicMeasure and ScalarTriplet, whose
+    float points, masses, b and c take a slot each with no finiteness test,
+    for their constructors reject every non-finite one.
 
     One pass builds the text with a %.17g slot for each finite float, every
     other % escaped, and one % fill prints all the floats at the end.
@@ -113,7 +124,40 @@ def dumps(obj, indent: int = 0) -> str:
             return "true" if o else "false"
         if kind is int:
             return str(o)
-        return emit(_native(o), pad)
+        inner = pad + step
+        if kind is Verdict:
+            witness = o.witness if type(o.witness) is dict else dict(o.witness)
+            parts = [
+                '"criterion": ' + emit(o.criterion, inner),
+                '"outcome": ' + emit(o.outcome, inner),
+                '"witnesses": ' + emit(witness, inner),
+                '"citation": ' + emit(o.citation, inner),
+            ]
+            if o.note:
+                parts.append('"note": ' + emit(o.note, inner))
+        elif kind is TypeLabel:
+            parts = ['"type": ' + emit(o.kind, inner), '"dim": ' + emit(o.dim, inner)]
+        elif kind is NecessaryReport:
+            parts = [
+                '"applicable": ' + emit(o.applicable, inner),
+                '"note": ' + emit(o.note, inner),
+                '"conditions": ' + emit([c.to_json() for c in o.conditions], inner),
+                '"certifies_not_similar": ' + emit(o.not_similar, inner),
+            ]
+        # finite, for the constructors of a triplet and a measure reject non-finite ones
+        elif kind is ScalarTriplet and type(o.b) is float and type(o.c) is float:
+            floats.append(o.b)
+            floats.append(o.c)
+            parts = ['"b": %.17g', '"c": %.17g', '"nu": ' + emit(o.nu, inner)]
+        elif kind is AtomicMeasure and set(map(type, chain.from_iterable(o.atoms))) <= {float}:
+            floats.extend(chain.from_iterable(o.atoms))
+            row = inner + step
+            pair = "[" + nl + row + step + "%.17g," + nl + row + step + "%.17g" + nl + row + "]"
+            run = ("," + nl + row).join([pair] * len(o.atoms))
+            parts = ['"atoms": ' + ("[" + nl + row + run + nl + inner + "]" if run else "[]")]
+        else:
+            return emit(_native(o), pad)
+        return "{" + nl + inner + ("," + nl + inner).join(parts) + nl + pad + "}"
 
     return emit(obj, "") % tuple(floats)
 

@@ -72,18 +72,34 @@ def growth_class(obj) -> tuple[float, int, float]:
     return gamma_growth_class(as_sequences(obj).triplet)
 
 
+def _lead(obj, cls: tuple[float, int, float]) -> tuple[float, float]:
+    """(w, s) with K = w / s in the growth class cls = (r, d, K) of obj.
+
+    Where an atom at r leads a triplet's class (core.gamma_growth_class), w is
+    its mass and s = (r - 1)^2; else w = K and s = 1.
+    """
+    r, _, k = cls
+    if isinstance(obj, AtomicMeasure) or r == 1.0:
+        return k, 1.0
+    return as_sequences(obj).triplet.nu.atoms[-1][1], (r - 1.0) ** 2
+
+
 def quasi_affine_test(lam_hat, om_hat) -> Verdict:
     """Is sup of (om-moments / lam-moments) finite?
 
     Decided by the growth classes: the ratio tends to K_om / K_lam when the
     two (r, d) agree, to 0 when om's is lower and to infinity when it is
-    higher.
+    higher.  Where a K = w / (r - 1)^2 overflows or underflows, the limit
+    reads from the masses w of the leading atoms, in which (r - 1)^2 cancels.
     """
     lam, om = growth_class(lam_hat), growth_class(om_hat)
-    if om[:2] == lam[:2]:
+    if om[:2] != lam[:2]:
+        limit = 0.0 if om[:2] < lam[:2] else math.inf
+    elif 0.0 < om[2] < math.inf and 0.0 < lam[2] < math.inf:
         limit = om[2] / lam[2]
     else:
-        limit = 0.0 if om[:2] < lam[:2] else math.inf
+        (w_om, s_om), (w_lam, s_lam) = _lead(om_hat, om), _lead(lam_hat, lam)
+        limit = w_om / w_lam * (s_lam / s_om)
     witness = {"class_lam": lam, "class_om": om, "limit_ratio": limit}
     return Verdict(YES if om[:2] <= lam[:2] else NO, "quasi_affine_test", GROWTH_TAG, witness)
 

@@ -67,7 +67,9 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
     1 both classes are led by the top atom theta, the limit is
     (theta - 1)^2 > 0 and the answer is "yes"; the witness eps is
     _tail_floor from n = 0, a floor for every n, so no beta_n is read.  The
-    yes stands where eps underflows to 0 or mass / K rounds to 0 (K = inf).
+    yes stands where eps underflows to 0.  Where K = w / (theta - 1)^2, w the
+    mass of nu at theta, overflows or underflows, the limit reads
+    (theta - 1)^2 mass / w.
     Without such an atom the limit is positive only when c = 0 and A = L = 0
     (within their rounding), and then beta_n is a convex combination of the
     (1 - x)^2 over the atoms: the least of them floors every beta_n.
@@ -85,7 +87,12 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
         )
     top, mass = defect[-1]
     class_gamma = gamma_growth_class(t)
-    limit = mass / class_gamma[2] if class_gamma[:2] == (top, 0) else 0.0
+    if class_gamma[:2] != (top, 0):
+        limit = 0.0
+    elif 0.0 < class_gamma[2] < math.inf:
+        limit = mass / class_gamma[2]
+    else:  # K = w / (top - 1)^2 over- or underflowed, w the mass of nu at top
+        limit = mass / t.nu.atoms[-1][1] * (top - 1.0) ** 2
     witness = {"class_gamma": class_gamma, "class_defect": (top, 0, mass), "limit": limit}
     if t.nu.support_max() > 1.0:
         eps = _tail_floor(t, 0)

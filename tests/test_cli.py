@@ -250,6 +250,17 @@ class TestCompare:
         code, doc = run_json(capsys, "compare", grow, ISO)
         assert code == 0 and doc["verdict"] == "NotSimilar"
 
+    def test_growth_coefficient_overflow_reads_the_masses(self, capsys):
+        # K = mass / (theta-1)^2 overflows to inf: the limits read from the masses
+        spec = '{"b": 0, "c": 0, "nu": {"atoms": [[1.000001, 1e300]]}}'
+        code, doc = run_json(capsys, "compare", spec, spec)
+        assert (code, doc["verdict"]) == (0, "Similar")
+        for side in ("forward", "backward"):
+            assert doc["similarity"]["witnesses"][side]["witnesses"]["limit_ratio"] == 1.0
+        code, doc = run_json(capsys, "similar", spec)
+        limit = doc["criteria"]["similar_by_beta"]["witnesses"]["limit"]
+        assert math.isclose(limit, (1.000001 - 1.0) ** 2, rel_tol=1e-15)
+
 
 class TestValidationOutcomes:
     @pytest.mark.parametrize("cmd", ["classify", "similar"])

@@ -13,8 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdshift import INCONCLUSIVE, NO, YES, AtomicMeasure, ScalarTriplet, Verdict
+from cpdshift import INCONCLUSIVE, NO, YES, AtomicMeasure, ScalarTriplet, TypeLabel, Verdict
 from cpdshift.cli import _fmt, _native, dumps
+from cpdshift.subnormality import ConditionResult, NecessaryReport
 
 
 def reference(obj, indent: int = 0) -> str:
@@ -67,12 +68,50 @@ FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 INTS = st.integers(-(2**70), 2**70)
 KEYS = st.one_of(TEXTS, INTS, FLOATS, st.none())
 
-POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
+# a bool, or an int of 1e17 or more, as a mass or b: a %.17g slot prints it otherwise
+POSITIVE = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e308), st.sampled_from([True, 10**17, 2**70])
+)
 # points sorted and distinct, none at 1, so every draw is a valid triplet
 ATOMS = st.dictionaries(st.floats(0.0, 1e6).filter(lambda x: x != 1.0), POSITIVE, max_size=3)
 MEASURES = ATOMS.map(lambda atoms: AtomicMeasure(tuple(sorted(atoms.items()))))
 TRIPLETS = st.builds(
-    ScalarTriplet, st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1e308), MEASURES
+    ScalarTriplet,
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([True, -(10**17), 2**70])
+    ),
+    st.floats(0.0, 1e308),
+    MEASURES,
+)
+LABELS = st.builds(TypeLabel, TEXTS, st.one_of(st.sampled_from([0, 1]), TEXTS))
+CONDITIONS = st.builds(ConditionResult, TEXTS, st.booleans(), st.none() | st.integers(0, 99), TEXTS)
+NECESSARY = st.builds(
+    NecessaryReport, st.booleans(), TEXTS, st.lists(CONDITIONS, max_size=3).map(tuple)
+)
+OUTCOMES = st.sampled_from([YES, NO, INCONCLUSIVE])
+# the witnesses of similar_by_beta, similarity_test and the model report hold tuples,
+# measures and triplets
+RECORD_WITNESSES = st.dictionaries(
+    TEXTS, st.one_of(MEASURES, TRIPLETS, st.tuples(FLOATS, INTS)), max_size=2
+)
+VERDICTS = st.builds(Verdict, OUTCOMES, TEXTS, TEXTS, RECORD_WITNESSES, note=TEXTS)
+
+
+def subclass(base):
+    """A subclass of base whose to_json nests base's: dumps prints it through to_json."""
+
+    def to_json(self):
+        return {"sub": base.to_json(self)}
+
+    return type(base.__name__ + "Sub", (base,), {"to_json": to_json})
+
+
+SUBCLASSES = {
+    base: subclass(base)
+    for base in (AtomicMeasure, ScalarTriplet, TypeLabel, NecessaryReport, Verdict)
+}
+SUBCLASSED = st.one_of(MEASURES, TRIPLETS, LABELS, NECESSARY, VERDICTS).map(
+    lambda record: SUBCLASSES[type(record)](*record._values())
 )
 
 LEAVES = st.one_of(
@@ -88,6 +127,10 @@ LEAVES = st.one_of(
     st.sampled_from([{}, [], ()]),
     MEASURES,
     TRIPLETS,
+    LABELS,
+    NECESSARY,
+    VERDICTS,
+    SUBCLASSED,
 )
 
 
@@ -99,7 +142,7 @@ def containers(children):
         st.dictionaries(KEYS, children, max_size=4),
         st.builds(
             Verdict,
-            st.sampled_from([YES, NO, INCONCLUSIVE]),
+            OUTCOMES,
             TEXTS,
             TEXTS,
             st.dictionaries(KEYS, children, max_size=3),

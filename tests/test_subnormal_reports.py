@@ -23,7 +23,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpdshift import AtomicMeasure, ScalarTriplet, criterion_kdwq, is_subnormal, validate_triplet
+from cpdshift import (
+    AtomicMeasure,
+    ScalarTriplet,
+    criterion_kdwq,
+    is_subnormal,
+    similar_by_beta,
+    validate_triplet,
+)
 from cpdshift.cli import compare_report, similar_report, subnormal_report
 
 
@@ -137,7 +144,15 @@ def test_berger_mass_holds(report):
     report(TINY_TOP_ATOM)
 
 
-@pytest.mark.xfail(raises=ZeroDivisionError, strict=True)
 def test_growth_class_coefficient_holds():
-    """quasi_affine_test divides by the two K values, both 0."""
-    compare_report(TINY_TOP_ATOM, TINY_TOP_ATOM)
+    """quasi_affine_test reads K_om / K_lam from the masses where both K values are 0."""
+    report, code = compare_report(TINY_TOP_ATOM, TINY_TOP_ATOM)
+    assert (report["verdict"], code) == ("Similar", 0)
+    for side in ("forward", "backward"):
+        assert report["similarity"].witness[side]["witnesses"]["limit_ratio"] == 1.0
+
+
+def test_defect_floor_limit_holds():
+    """similar_by_beta reads mass / K as (theta - 1)^2 mass / w where K is 0."""
+    v = similar_by_beta(TINY_TOP_ATOM)
+    assert v.is_yes and v.witness["limit"] == 4.0
