@@ -16,7 +16,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, TypeLabel, as_sequences
+from .core import CLASSIFY_TAG, ScalarTriplet, ShiftSequences, TypeLabel
 from .core import classify_type
 from .core import validate_triplet  # noqa: F401  (t.validation calls it; bench/spans.py traces it)
 from .measures import AtomicMeasure
@@ -205,27 +205,26 @@ def load_triplet(spec: str) -> ScalarTriplet:
 # -- per-command reports ------------------------------------------------------
 
 
-def _validated_header(t: ScalarTriplet, command: str) -> tuple[dict, ShiftSequences | None, int]:
+def _validated_header(t: ScalarTriplet, command: str) -> tuple[dict, int | None]:
     """Open the report of t with the keys input, valid and command.
 
-    Returns (report, sequences, exit code).  When t is not validated the
-    sequences are None, and the report, verdict included, and the exit code
-    are final.
+    Returns (report, exit code).  The code is None when t is validated; else
+    the report, verdict included, and the code are final.
     """
     v = t.validation
     report = {"input": t, "valid": v, "command": command}
     if v.is_yes:
-        return report, as_sequences(t), EXIT_DECIDED
+        return report, None
     report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
-    return report, None, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
+    return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
 
 
 def classify_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
-    report, seqs, code = _validated_header(t, "classify")
-    if seqs is None:
+    report, code = _validated_header(t, "classify")
+    if code is not None:
         return report, code
-    label = classify_type(seqs)
-    beta0, *betas = seqs.betas(n_max + 1)
+    label = classify_type(t)
+    beta0, *betas = t.sequences.betas(n_max + 1)
     report["type"] = label
     report["beta"] = {
         "beta0": beta0,
@@ -239,11 +238,11 @@ def classify_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
 
 
 def subnormal_report(t: ScalarTriplet, hankel_order: int, tol: float) -> tuple[dict, int]:
-    report, seqs, code = _validated_header(t, "subnormal")
-    if seqs is None:
+    report, code = _validated_header(t, "subnormal")
+    if code is not None:
         return report, code
-    sub = is_subnormal(seqs)
-    moments = seqs.gammas(2 * hankel_order + 2)
+    sub = is_subnormal(t)
+    moments = t.sequences.gammas(2 * hankel_order + 2)
     oracle = hankel_psd_oracle(moments, hankel_order, tol)
     report["subnormal"] = sub
     report["hankel_oracle"] = oracle
@@ -263,12 +262,12 @@ def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, in
     of the report.  n_max is unused: similar_by_beta decides every index in
     closed form.
     """
-    report, seqs, code = _validated_header(t, "similar")
-    if seqs is None:
+    report, code = _validated_header(t, "similar")
+    if code is not None:
         return report, code
-    label = classify_type(seqs)
-    sub = is_subnormal(seqs)
-    nec = necessary_conditions(seqs)
+    label = classify_type(t)
+    sub = is_subnormal(t)
+    nec = necessary_conditions(t)
     report["type"] = label
     report["subnormal"] = sub
     report["necessary_conditions"] = nec
@@ -278,7 +277,7 @@ def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, in
         dich = _dichotomy(label.kind, sub)
         report["dichotomy"] = dich
     else:
-        beta = similar_by_beta(seqs)
+        beta = similar_by_beta(t)
         report["criteria"] = {"similar_by_beta": beta}
 
     # aggregation precedence: Subnormal > NotSimilar > Similar > Inconclusive
@@ -300,18 +299,18 @@ def similar_report(t: ScalarTriplet, n_max: int | None = None) -> tuple[dict, in
 
 
 def model_report(t: ScalarTriplet, n_max: int) -> tuple[dict, int]:
-    report, seqs, code = _validated_header(t, "model")
-    if seqs is None:
+    report, code = _validated_header(t, "model")
+    if code is not None:
         return report, code
     try:
-        berger = model_subnormal(seqs)
+        berger = model_subnormal(t)
     except ModelDegenerateError as exc:
         report["model"] = None
         report["verdict"] = "ModelDegenerate"
         report["reason"] = str(exc)
         return report, EXIT_DECIDED
     report["model"] = {
-        "mu0": seqs.defect_measure,
+        "mu0": t.sequences.defect_measure,
         "berger": berger,
         "moments": berger.moments(n_max),
         "weights": berger.weights(n_max),
@@ -334,9 +333,8 @@ def compare_report(
         if not v.is_yes:
             report["verdict"] = "InvalidTriplet" if v.is_no else "Inconclusive"
             return report, EXIT_DECIDED if v.is_no else EXIT_INCONCLUSIVE
-    seqs_a, seqs_b = as_sequences(ta), as_sequences(tb)
-    sim = similarity_test(seqs_a, seqs_b)
-    defect, scale = intertwiner_defect(seqs_a, seqs_b, m=32)
+    sim = similarity_test(ta, tb)
+    defect, scale = intertwiner_defect(ta, tb, m=32)
     report["similarity"] = sim
     report["intertwiner"] = {
         "defect": defect,
@@ -351,6 +349,12 @@ def compare_report(
 def series_rows(seqs: ShiftSequences, n_max: int):
     for n, (gamma, weight, beta, log_gamma) in enumerate(zip(*seqs.columns(n_max + 1))):
         yield {"n": n, "gamma": gamma, "lambda": weight, "beta": beta, "log_gamma": log_gamma}
+
+
+def _csv_line(row: dict) -> str:
+    """A series row as CSV, each non-finite cell spelled nan, inf or -inf as dumps does."""
+    cells = [_fmt(row[k]) for k in ("gamma", "lambda", "beta", "log_gamma")]
+    return ",".join([str(row["n"])] + cells)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -514,15 +518,11 @@ def _run_command(args) -> int:
         if v.is_inconclusive:
             print(f"inconclusive: {v.note or 'validation undecided'}", file=sys.stderr)
             return EXIT_INCONCLUSIVE
-        rows = list(series_rows(as_sequences(t), args.n_max))
+        rows = list(series_rows(t.sequences, args.n_max))
         if args.fmt == "csv":
             print("n,gamma,lambda,beta,log_gamma")
             for r in rows:
-                cells = [str(r["n"])] + [
-                    _fmt(r[k]) if math.isfinite(r[k]) else "inf"
-                    for k in ("gamma", "lambda", "beta", "log_gamma")
-                ]
-                print(",".join(cells))
+                print(_csv_line(r))
         else:
             print(dumps(rows, indent=2))
         return EXIT_DECIDED

@@ -23,7 +23,12 @@ g_n for n < PREFIX_WINDOW in a prefix, built in blocks stepped from those
 terms by _g_block, and derives log gamma_n and beta_n from it on read; past
 the window g_n is the direct sum of the terms, one index at a time.  Every
 beta read checks the closed form against the weight route at each index it
-returns.  The only other values kept are those a ScalarTriplet object owns.
+returns.  The only other values kept are those a ScalarTriplet object owns,
+its sequences t.sequences among them.
+
+Every triplet-level procedure, here and in subnormality, similarity and
+quasiaffine, takes the triplet as its one argument and reads t.sequences
+for the values it needs.
 
 Each per-index read has a bulk read (gammas, log_gammas, weights, betas) that
 returns every n < count in one pass with the same float operations: the same
@@ -89,10 +94,12 @@ class ScalarTriplet(_Owner):
         _set(self, "nu", nu)
         _set(self, "_derived", {})
 
-    # validate_triplet(t) and the resolvent sums (i1, i2) of nu: like limit_coefficients,
-    # as_sequences and classify_type, made on the first read and owned by the object
+    # validate_triplet(t), the resolvent sums (i1, i2) of nu and ShiftSequences(t), which
+    # raises InvalidTripletError unless t validates: like limit_coefficients and
+    # classify_type, made on the first read and owned by the object
     validation = property(lambda t: t._own("validation", validate_triplet, t))
     resolvent = property(lambda t: t._own("resolvent", t.nu.resolvent_integrals))
+    sequences = property(lambda t: t._own("sequences", ShiftSequences, t))
 
     def to_json(self) -> dict:
         return {"b": self.b, "c": self.c, "nu": self.nu.to_json()}
@@ -327,6 +334,9 @@ def _g_terms(t: ScalarTriplet, theta: float, n: int, count: int, limit: bool):
     The limit form gamma_m = sum w x^m / (x-1)^2 has no polynomial terms,
     S_n = (x/theta)^n / (x-1)^2 and steps of 0: it takes no power of theta,
     which there is the top atom and may be tiny.
+
+    t is read for b, c and nu only, so a ShiftSequences, which keeps them,
+    stands in for its triplet here, in _g_block and in _far_g.
     """
     if limit:
         rows, steps = [[] for _ in range(count)], [0.0] * count
@@ -418,8 +428,10 @@ class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
 
     The owner of the scaled prefix g_n and of the defect measure nu + 2c at 1.
-    ShiftSequences(t) builds a new one; criteria and reports share the one
-    that as_sequences(t) returns, which the triplet object owns.
+    ShiftSequences(t) builds a new one; criteria and reports share
+    t.sequences, the one that the triplet object owns.  It keeps b, c and nu
+    of t, not t itself, so a triplet and its sequences form no reference
+    cycle and are freed together when the last reference goes.
 
     The prefix holds g_n only; log gamma_n = n log theta + log g_n is derived
     on read.  Each prefix block comes from _g_block, which steps the atom
@@ -448,7 +460,7 @@ class ShiftSequences:
             raise InvalidTripletError(
                 f"triplet failed positivity validation ({v.outcome}): {v.witness}"
             )
-        self.triplet = triplet
+        self.b, self.c, self.nu = triplet.b, triplet.c, triplet.nu
         self.defect_measure = defect_moment_measure(triplet)
         self._limit = v.witness.get("branch") == "limit" and v.witness["gamma_limit"] == 0.0
         # the limit form decays like its top atom, which scales it into the double range;
@@ -463,7 +475,7 @@ class ShiftSequences:
         prefix = self._prefix
         if n >= len(prefix):
             if n >= PREFIX_WINDOW:
-                return _far_g(self.triplet, self.theta, n, self._limit)
+                return _far_g(self, self.theta, n, self._limit)
             prefix = self._grow(n)
         elif n < 0:
             raise ValueError("index must be nonnegative")
@@ -475,7 +487,7 @@ class ShiftSequences:
         while len(prefix) <= n:
             start = len(prefix)
             stop = min(PREFIX_WINDOW, max(2 * start, FIRST_BLOCK))
-            block = _g_block(self.triplet, theta, start, stop - start, limit)
+            block = _g_block(self, theta, start, stop - start, limit)
             self._prefix = prefix = prefix + block
         return prefix
 
@@ -484,8 +496,8 @@ class ShiftSequences:
         if count <= PREFIX_WINDOW:
             prefix = self._prefix if count <= len(self._prefix) else self._grow(count - 1)
             return prefix[: max(count, 0)]
-        t, theta, limit = self.triplet, self.theta, self._limit
-        far = [_far_g(t, theta, n, limit) for n in range(PREFIX_WINDOW, count)]
+        theta, limit = self.theta, self._limit
+        far = [_far_g(self, theta, n, limit) for n in range(PREFIX_WINDOW, count)]
         return list(self._grow(PREFIX_WINDOW - 1)) + far
 
     def _weight_squares(self, lo: int, hi: int) -> list[float]:
@@ -550,15 +562,7 @@ class ShiftSequences:
         return gammas, weights, betas, [self._log_gamma(n, x) for n, x in enumerate(g[:count])]
 
 
-def as_sequences(t: ScalarTriplet | ShiftSequences) -> ShiftSequences:
-    """t itself if it is a ShiftSequences, else the sequences that the triplet t owns.
-
-    Raises InvalidTripletError for a triplet that fails validation.
-    """
-    return t if isinstance(t, ShiftSequences) else t._own("sequences", ShiftSequences, t)
-
-
-def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
+def classify_type(t: ScalarTriplet) -> TypeLabel:
     """Type I / II / III label with the defect-space dimension.
 
     Cross-checked against the dichotomy: the label is III exactly when
@@ -566,19 +570,18 @@ def classify_type(t: ScalarTriplet | ShiftSequences) -> TypeLabel:
     bit for bit ShiftSequences.beta(1) and checked the same way, without
     growing the prefix.
     """
-    s = as_sequences(t)
-    return s.triplet._own("type", _checked_label, s)
+    return t._own("type", _checked_label, t.sequences)
 
 
 def _checked_label(s: ShiftSequences) -> TypeLabel:
-    nu, c = s.triplet.nu, s.triplet.c
+    nu, c = s.nu, s.c
     if nu.is_zero and c == 0.0:
         label = TypeLabel("I", 0)
     elif c == 0.0 and len(nu.atoms) == 1 and nu.atoms[0][0] == 0.0:
         label = TypeLabel("II", 1)
     else:
         label = TypeLabel("III", "aleph0")
-    g = _g_block(s.triplet, s.theta, 0, 4, s._limit)
+    g = _g_block(s, s.theta, 0, 4, s._limit)
     if (_checked_betas(1, s._defect, s.theta, g[1:])[0] > 0.0) != (label.kind == "III"):
         raise RuntimeError("type label disagrees with the beta_1 > 0 dichotomy")
     return label

@@ -5,21 +5,22 @@ their formal moment sequences is bounded; the shifts are similar exactly when
 the ratio is bounded above and away from zero (Shields, *Weighted shift
 operators and analytic function theory*, 1974).
 
-The tests are exact for every input they accept: triplets, their sequences
-and atomic measures, a model shift's Berger measure among them.  Their
-moments grow like K r^n n^d with the growth class (r, d, K) in closed form,
-so the ratio om/lam is bounded exactly when (r, d) of om is at most that of
-lam, compared lexicographically.  A triplet's linear and constant
-coefficients count as 0 within the rounding of their inputs.  A finite
-weight list cannot show that a ratio is bounded, so only intertwiner_defect,
-which checks an identity on a finite truncation, accepts one.
+The tests are exact for every input they accept: triplets and atomic
+measures, a model shift's Berger measure among them.  Their moments grow
+like K r^n n^d with the growth class (r, d, K) in closed form, so the ratio
+om/lam is bounded exactly when (r, d) of om is at most that of lam,
+compared lexicographically.  A triplet's linear and constant coefficients
+count as 0 within the rounding of their inputs.  A finite weight list
+cannot show that a ratio is bounded, so only intertwiner_defect, which
+checks an identity on a finite truncation, accepts one; it reads a
+triplet's moments from t.sequences, the sequences its reports share.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ScalarTriplet, ShiftSequences, as_sequences, gamma_growth_class
+from .core import ScalarTriplet, gamma_growth_class
 from .measures import AtomicMeasure
 from .verdict import NO, YES, Verdict
 
@@ -36,13 +37,12 @@ def _require_positive_moments(m: AtomicMeasure) -> None:
 
 
 def _log_moments(obj, count: int) -> list[float]:
-    """log of the moments 0..count-1 of a triplet, its sequences, an atomic
-    measure or a finite weight list."""
+    """log of the moments 0..count-1 of a triplet, an atomic measure or a finite weight list."""
     if isinstance(obj, AtomicMeasure):
         _require_positive_moments(obj)
         return obj.log_moments(count)
-    if isinstance(obj, (ScalarTriplet, ShiftSequences)):
-        return as_sequences(obj).log_gammas(count)
+    if isinstance(obj, ScalarTriplet):
+        return obj.sequences.log_gammas(count)
     if isinstance(obj, (list, tuple)) or hasattr(obj, "tolist"):  # weights, also as an array
         ws = [float(w) for w in obj]
         if any(not (w > 0.0) for w in ws):
@@ -57,8 +57,7 @@ def _log_moments(obj, count: int) -> list[float]:
 
 
 def growth_class(obj) -> tuple[float, int, float]:
-    """(r, d, K) with n-th moment ~ K r^n n^d, for a triplet, its sequences
-    or an atomic measure.
+    """(r, d, K) with n-th moment ~ K r^n n^d, for a triplet or an atomic measure.
 
     A triplet's class is core.gamma_growth_class; a measure's moments are
     led by the mass at its top point.
@@ -67,9 +66,10 @@ def growth_class(obj) -> tuple[float, int, float]:
         _require_positive_moments(obj)
         top, mass = obj.atoms[-1]
         return top, 0, mass
-    if not isinstance(obj, (ScalarTriplet, ShiftSequences)):
+    if not isinstance(obj, ScalarTriplet):
         raise TypeError(f"no growth class for {type(obj).__name__}")
-    return gamma_growth_class(as_sequences(obj).triplet)
+    obj.sequences  # InvalidTripletError unless obj validates
+    return gamma_growth_class(obj)
 
 
 def _lead(obj, cls: tuple[float, int, float]) -> tuple[float, float]:
@@ -81,7 +81,7 @@ def _lead(obj, cls: tuple[float, int, float]) -> tuple[float, float]:
     r, _, k = cls
     if isinstance(obj, AtomicMeasure) or r == 1.0:
         return k, 1.0
-    return as_sequences(obj).triplet.nu.atoms[-1][1], (r - 1.0) ** 2
+    return obj.nu.atoms[-1][1], (r - 1.0) ** 2
 
 
 def quasi_affine_test(lam_hat, om_hat) -> Verdict:

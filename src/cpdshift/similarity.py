@@ -28,8 +28,6 @@ import math
 from .core import (
     ROUNDING,
     ScalarTriplet,
-    ShiftSequences,
-    as_sequences,
     classify_type,
     gamma_growth_class,
     limit_coefficients,
@@ -53,7 +51,7 @@ class ModelDegenerateError(ValueError):
     """The model shift exists only for type III; the completion space is too small."""
 
 
-def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
+def similar_by_beta(t: ScalarTriplet) -> Verdict:
     """Decide inf beta_n > 0 (bounded invertibility of the model intertwiner).
 
     beta_n = D_n / gamma_n with D_n the moments of the defect measure
@@ -73,10 +71,11 @@ def similar_by_beta(t: ScalarTriplet | ShiftSequences) -> Verdict:
     Without such an atom the limit is positive only when c = 0 and A = L = 0
     (within their rounding), and then beta_n is a convex combination of the
     (1 - x)^2 over the atoms: the least of them floors every beta_n.
+
+    t is the triplet, the one argument of every criterion here; the defect
+    measure comes from t.sequences, the sequences that the reports on t share.
     """
-    s = as_sequences(t)
-    t = s.triplet
-    defect = s.defect_measure.atoms
+    defect = t.sequences.defect_measure.atoms
     if not defect or defect[-1][0] == 0.0:
         return Verdict(
             NO,
@@ -158,7 +157,7 @@ def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
     return err * (1.0 + n_from * ROUNDING) + ROUNDING
 
 
-def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
+def criterion_kdwq(t: ScalarTriplet) -> Verdict:
     """Atom at the top of the support, above 1: similar to a subnormal shift.
 
     For an atomic nu the finiteness of the resolvent sum above 1 and the atom
@@ -170,7 +169,7 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
         (b) b differs from the first resolvent sum (L != 0),
         (c) c > 0.
     """
-    t = as_sequences(t).triplet
+    t.sequences  # InvalidTripletError unless t validates
     theta = t.nu.support_max()
     if not theta > 1.0:
         return Verdict(
@@ -197,13 +196,13 @@ def criterion_kdwq(t: ScalarTriplet | ShiftSequences) -> Verdict:
     return Verdict(YES, "criterion_kdwq", ENDPOINT_ATOM_TAG, witness)
 
 
-def criterion_nyttrs(t: ScalarTriplet | ShiftSequences) -> Verdict:
+def criterion_nyttrs(t: ScalarTriplet) -> Verdict:
     """liminf criterion at the top of the support.
 
     With eps_n = 1/n, a_n = nu([theta - eps_n, theta]) (1 - eps_n/theta)^n
     tends to mass({theta}) e^(-1/theta); "yes" when that limit is positive.
     """
-    t = as_sequences(t).triplet
+    t.sequences  # InvalidTripletError unless t validates
     theta = t.nu.support_max()
     if not theta > 1.0:
         raise NotApplicableError("sup of the support must exceed 1")
@@ -212,7 +211,7 @@ def criterion_nyttrs(t: ScalarTriplet | ShiftSequences) -> Verdict:
     return Verdict(YES if limit > 0.0 else NO, "criterion_nyttrs", ENDPOINT_LIMINF_TAG, witness)
 
 
-def criterion_weight_band(t: ScalarTriplet | ShiftSequences) -> Verdict:
+def criterion_weight_band(t: ScalarTriplet) -> Verdict:
     """Squared-weight band test on every n >= BAND_N_LO.
 
     Fits either (tau, M) with 1 + tau <= lambda_n^2 <= 1 + M, tau in (0, 1)
@@ -224,7 +223,7 @@ def criterion_weight_band(t: ScalarTriplet | ShiftSequences) -> Verdict:
     Similarity depends only on the tail of the weights, so the band covers
     every n >= BAND_N_LO and has no upper end.
     """
-    t = as_sequences(t).triplet
+    t.sequences  # InvalidTripletError unless t validates
     theta = t.nu.support_max()
     err = _weight_tail_error(t, BAND_N_LO) if theta > 1.0 else math.inf
     lo, hi = 0.0, math.inf
@@ -337,9 +336,7 @@ def _family_iii_point(
 
 
 def criterion_ineqsuf(
-    t: ScalarTriplet | ShiftSequences,
-    t_param: float | None = None,
-    tau: float | None = None,
+    t: ScalarTriplet, t_param: float | None = None, tau: float | None = None
 ) -> Verdict:
     """Inequality families over (b, c, nu-total, support endpoints).
 
@@ -351,7 +348,7 @@ def criterion_ineqsuf(
     """
     if tau is not None and t_param is None:
         raise ValueError("tau pins family (iii) only together with t_param")
-    t = as_sequences(t).triplet
+    t.sequences  # InvalidTripletError unless t validates
     if t.b < 0.0:
         return Verdict(
             INCONCLUSIVE,
@@ -382,7 +379,7 @@ def example_t0() -> float:
     return (math.sqrt(10.0) - 2.0) / 3.0
 
 
-def model_subnormal(t: ScalarTriplet | ShiftSequences) -> AtomicMeasure:
+def model_subnormal(t: ScalarTriplet) -> AtomicMeasure:
     """Berger measure of the model subnormal shift: normalized (nu + 2c at 1).
 
     The model is M_z on the L^2 closure of the polynomials, so the measure
@@ -390,20 +387,17 @@ def model_subnormal(t: ScalarTriplet | ShiftSequences) -> AtomicMeasure:
     square) returns the same measure.  Degenerate for types I and II (the
     completion space has dimension 0 or 1).
     """
-    s = as_sequences(t)
-    label = classify_type(s)
+    label = classify_type(t)
     if label.kind != "III":
         raise ModelDegenerateError(
             f"model degenerates for type {label.kind} (completion dimension {label.dim})"
         )
-    return s.defect_measure.normalize()
+    return t.sequences.defect_measure.normalize()
 
 
-def b2_identity_check(
-    t: ScalarTriplet | ShiftSequences, m_max: int = 64, rtol: float = 1e-9
-) -> bool:
+def b2_identity_check(t: ScalarTriplet, m_max: int = 64, rtol: float = 1e-9) -> bool:
     """gamma_n * beta_n equals the n-th moment of nu + 2c at 1, for n <= m_max."""
-    s = as_sequences(t)
+    s = t.sequences
     count = m_max + 1
     lhs = [g * b for g, b in zip(s.gammas(count), s.betas(count))]
     rhs = s.defect_measure.moments(count)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ScalarTriplet, ShiftSequences, as_sequences, classify_type, limit_coefficients
+from .core import ScalarTriplet, classify_type, limit_coefficients
 from .measures import AtomicMeasure
 from .verdict import INCONCLUSIVE, NO, YES, Record, Verdict, _set
 
@@ -30,7 +30,7 @@ NECESSARY_TAG = "similarity-necessary-conditions"
 HANKEL_BAND_FACTOR = 10.0
 
 
-def is_subnormal(t: ScalarTriplet | ShiftSequences) -> Verdict:
+def is_subnormal(t: ScalarTriplet) -> Verdict:
     """Resolvent test: yes exactly when c = 0, L = 0 and A >= 0, else no.
 
     (L, A) = (b - i1, 1 - i2) as limit_coefficients reads them.  On success
@@ -38,7 +38,7 @@ def is_subnormal(t: ScalarTriplet | ShiftSequences) -> Verdict:
     (x, w) of nu and A at the point 1, a probability measure reproducing the
     formal moments.
     """
-    t = as_sequences(t).triplet
+    t.sequences  # InvalidTripletError unless t validates
     i1, i2 = t.resolvent
     slope, constant = limit_coefficients(t)
     conditions = {
@@ -152,7 +152,7 @@ class NecessaryReport(Record):
         }
 
 
-def necessary_conditions(t: ScalarTriplet | ShiftSequences) -> NecessaryReport:
+def necessary_conditions(t: ScalarTriplet) -> NecessaryReport:
     """Similarity-to-subnormal necessary conditions, decided in closed form.
 
     Applicable only when the support of nu lies in [0, 1]; outside that range
@@ -172,7 +172,7 @@ def necessary_conditions(t: ScalarTriplet | ShiftSequences) -> NecessaryReport:
     with L as limit_coefficients reads it, and (iv) when b >= 0 and an atom
     lies in (0, 1).
     """
-    t = as_sequences(t).triplet
+    t.sequences  # InvalidTripletError unless t validates
     if t.nu.support_max() > 1.0:
         return NecessaryReport(
             applicable=False,
@@ -204,15 +204,14 @@ def necessary_conditions(t: ScalarTriplet | ShiftSequences) -> NecessaryReport:
     return NecessaryReport(True, "", conditions)
 
 
-def dichotomy_check(t: ScalarTriplet | ShiftSequences) -> Verdict:
+def dichotomy_check(t: ScalarTriplet) -> Verdict:
     """Types I and II are subnormal or not similar to any subnormal operator.
 
     Outcome answers "similar to a subnormal operator?": yes means the shift is
     itself subnormal, no means not similar at all.  Type III input is an
     error.
     """
-    s = as_sequences(t)
-    return _dichotomy(classify_type(s).kind, is_subnormal(s))
+    return _dichotomy(classify_type(t).kind, is_subnormal(t))
 
 
 def _dichotomy(kind: str, sub: Verdict) -> Verdict:

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from cpdshift import (
     AtomicMeasure,
     ScalarTriplet,
-    ShiftSequences,
     validate_triplet,
     wab_classify,
 )
-from cpdshift.core import as_sequences
 from cpdshift.verdict import Record
 
 WAB_GRID_A = (0.25, 0.5, 1.0, 2.0)
@@ -132,15 +130,14 @@ class DiagonalTriplet(Record):
     __slots__ = ("k", "b_k", "c_k", "nu_k")
 
 
-def diagonal_triplet(t: ScalarTriplet | ShiftSequences, k: int) -> DiagonalTriplet:
+def diagonal_triplet(t: ScalarTriplet, k: int) -> DiagonalTriplet:
     """k-th diagonal entry of the operator triplet, read from gamma_k and gamma_k+1.
 
     The reference that the closed-form necessary conditions are checked against.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    s = as_sequences(t)
-    t = s.triplet
+    s = t.sequences
     gk = s.gamma(k)
     b_k = (s.gamma(k + 1) - gk - t.c) / gk
     c_k = t.c / gk

@@ -91,7 +91,7 @@ def test_criterion_4_subnormality_oracle_equivalence(subnormality_corpus):
     decisive_disagree = 0
     for t in forced + perturbed:
         s = ShiftSequences(t)
-        sub = is_subnormal(s)
+        sub = is_subnormal(t)
         oracle = hankel_psd_oracle([s.gamma(n) for n in range(18)], 8, tol=1e-8)
         if oracle.is_inconclusive or sub.is_inconclusive:
             continue

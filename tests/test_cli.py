@@ -1,9 +1,12 @@
+import gc
 import json
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import cpdshift
@@ -30,6 +33,7 @@ from cpdshift import (
     similar_by_beta,
 )
 from cpdshift.cli import (
+    _csv_line,
     classify_report,
     compare_report,
     dumps,
@@ -40,7 +44,6 @@ from cpdshift.cli import (
     similar_report,
     subnormal_report,
 )
-from cpdshift.core import as_sequences
 from hypothesis import given, settings
 
 ATOM2 = '{"b": 0.0, "c": 0.0, "nu": {"atoms": [[2.0, 1.0]]}}'
@@ -327,6 +330,12 @@ class TestSeries:
         code, out = run(capsys, "series", ATOM2, "--n-max", "3", "--json")
         rows = json.loads(out)
         assert code == 0 and len(rows) == 4 and rows[0]["gamma"] == 1.0
+
+    def test_csv_spells_non_finite_cells_as_dumps_does(self):
+        row = {"n": 4, "gamma": math.nan, "lambda": math.inf, "beta": -math.inf, "log_gamma": 0.1}
+        cells = _csv_line(row).split(",")
+        assert cells == ["4", "nan", "inf", "-inf", "0.10000000000000001"]
+        assert cells[1:4] == json.loads(dumps([math.nan, math.inf, -math.inf]))
 
     def test_overflow_prints_inf_and_log(self, capsys):
         code, out = run(capsys, "series", ATOM2, "--n-max", "1200")
@@ -629,7 +638,7 @@ class TestOwnedValues:
         "classify": lambda t: dumps(classify_report(t, 64)[0]),
         "subnormal": lambda t: dumps(subnormal_report(t, 8, 1e-8)[0]),
         "compare": lambda t: dumps(compare_report(t, load_triplet(ATOM2), 64)[0]),
-        "series": lambda t: dumps(list(series_rows(as_sequences(t), 8))),
+        "series": lambda t: dumps(list(series_rows(t.sequences, 8))),
     }
 
     def test_each_object_validates_once(self, monkeypatch):
@@ -769,12 +778,43 @@ class TestSharedSequences:
             return type(exc)
         return out.to_json() if hasattr(out, "to_json") else out
 
-    def test_procedures_take_the_sequences(self, monkeypatch):
+    def test_procedures_take_the_triplet_alone(self, monkeypatch):
         for spec in (ATOM2, W13, SUBN):  # type III, type II, subnormal
             t = load_triplet(spec)
-            expected = [self._outcome(f, t) for f in self.PROCEDURES]
-            seqs = core.ShiftSequences(t)
             counts = self._count(monkeypatch)
-            assert [self._outcome(f, seqs) for f in self.PROCEDURES] == expected, spec
-            assert counts["built"] == 0 and counts["validated"] == 0, spec
+            for f in self.PROCEDURES:
+                self._outcome(f, t)
+            assert counts["built"] == 1 and counts["validated"] == 1, spec
             monkeypatch.undo()
+            for f in self.PROCEDURES:
+                # the sequences are no stand-in for their triplet: no answer comes back
+                with pytest.raises((AttributeError, TypeError)):
+                    f(t.sequences)
+
+    def test_reports_leave_no_sequences_to_the_collector(self):
+        # a triplet and its sequences form no reference cycle, so each pair of reports
+        # frees its sequences with its triplet, with the cyclic collector off
+        rng = random.Random(7)
+
+        def draw():  # b >= 0, so the triplet is valid, and an atom off the origin: type III
+            points = sorted(rng.uniform(0.1, 3.0) for _ in range(rng.randint(1, 3)))
+            atoms = [[p, rng.uniform(0.1, 2.0)] for p in points]
+            return json.dumps({"b": rng.random(), "c": rng.random(), "nu": {"atoms": atoms}})
+
+        specs = [draw() for _ in range(100)]
+        refs = []
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for spec in specs:
+                t = load_triplet(spec)
+                assert similar_report(t, 512)[0]["verdict"] != "InvalidTriplet"
+                model_report(t, 32)
+                refs.append(weakref.ref(t.sequences))
+            del t
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == 0

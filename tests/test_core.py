@@ -281,7 +281,7 @@ class TestCorpusIdentities:
     def test_classification_matches_beta1(self, corpus):
         for t, _ in corpus:
             s = ShiftSequences(t)
-            label = classify_type(s)
+            label = classify_type(t)
             assert (label.kind == "III") == (s.beta(1) > 0.0)
 
 
@@ -520,7 +520,7 @@ class TestDiagonalTriplet:
     def test_index_zero_recovers_data(self):
         t = trip(0.4, 0.3, [(0.5, 0.7), (2.0, 0.1)])
         s = ShiftSequences(t)
-        d = diagonal_triplet(s, 0)
+        d = diagonal_triplet(t, 0)
         assert math.isclose(d.b_k, s.gamma(1) - 1 - t.c)
         assert d.c_k == t.c
         assert d.nu_k == t.nu

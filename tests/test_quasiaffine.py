@@ -8,7 +8,6 @@ from conftest import random_type_iii_triplet, triplets
 from cpdshift import (
     AtomicMeasure,
     ScalarTriplet,
-    ShiftSequences,
     classify_type,
     intertwiner_defect,
     is_subnormal,
@@ -67,9 +66,8 @@ class TestQuasiAffine:
 def test_type_iii_is_quasi_affine_transform_of_its_model(t):
     # the defect moments gamma_n beta_n grow no faster than gamma_n
     assume(validate_triplet(t).is_yes)
-    s = ShiftSequences(t)
-    assume(classify_type(s).kind == "III")
-    assert quasi_affine_test(s, model_subnormal(s)).is_yes
+    assume(classify_type(t).kind == "III")
+    assert quasi_affine_test(t, model_subnormal(t)).is_yes
 
 
 class TestSimilarity:

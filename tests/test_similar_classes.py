@@ -75,10 +75,10 @@ def decided_by_class(t: ScalarTriplet) -> bool:
 @example(trip(0.3, 0.0, [(0.5, 0.4)]))
 @example(trip(0.5, 0.25, [(0.5, 1.0), (1.0 + 7.5e-9, 0.5)]))
 def test_defect_floor_matches_the_model_ratio_test(t):
-    s = sequences(t)
-    assume(classify_type(s).kind == "III" and decided_by_class(t))
-    v = similar_by_beta(s)
-    assert v.outcome == similarity_test(s, model_subnormal(s)).outcome
+    sequences(t)  # rejects a draw that fails validation
+    assume(classify_type(t).kind == "III" and decided_by_class(t))
+    v = similar_by_beta(t)
+    assert v.outcome == similarity_test(t, model_subnormal(t)).outcome
     assert v.is_yes == (t.nu.support_max() > 1.0)
 
 
@@ -91,7 +91,7 @@ def test_weights_lie_in_the_tail_enclosure(t):
     s = sequences(t)
     theta = t.nu.support_max()
     assume(theta > 1.0)
-    err = criterion_weight_band(s).witness["tail_error"]
+    err = criterion_weight_band(t).witness["tail_error"]
     if err >= 1.0:
         return  # the enclosure is unbounded
     lo, hi = theta * (1.0 - err) / (1.0 + err), theta * (1.0 + err) / (1.0 - err)

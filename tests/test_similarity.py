@@ -96,8 +96,9 @@ class TestTailFloor:
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_floor_holds_far_out(self, theta):
-        s = ShiftSequences(trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)]))
-        eps = similar_by_beta(s).witness["eps"]
+        t = trip(0.5, 0.25, [(0.5, 1.0), (theta, 0.5)])
+        s = ShiftSequences(t)
+        eps = similar_by_beta(t).witness["eps"]
         assert eps > 0.0
         assert all(eps <= s.beta(n) for n in range(513))
         n = 513
@@ -260,7 +261,7 @@ class TestDefectMomentIdentity:
         t = trip(0.1, 0.4, [(0.3, 0.6), (3.0, 1.1)])
         s = ShiftSequences(t)
         total = s.defect_measure.total_mass()
-        weights = model_subnormal(s).weights(33)
+        weights = model_subnormal(t).weights(33)
         acc = 1.0
         for n in range(33):
             assert math.isclose(s.gamma(n) * s.beta(n), total * acc, rel_tol=1e-9)
@@ -272,14 +273,13 @@ class TestCriteriaConsistency:
         for t, source in corpus:
             if source != "random":
                 continue
-            s = ShiftSequences(t)
-            if classify_type(s).kind != "III":
+            if classify_type(t).kind != "III":
                 continue
             fired = (
-                criterion_kdwq(s).is_yes
-                or (s.triplet.nu.support_max() > 1.0 and criterion_nyttrs(s).is_yes)
-                or criterion_weight_band(s).is_yes
-                or criterion_ineqsuf(s).is_yes
+                criterion_kdwq(t).is_yes
+                or (t.nu.support_max() > 1.0 and criterion_nyttrs(t).is_yes)
+                or criterion_weight_band(t).is_yes
+                or criterion_ineqsuf(t).is_yes
             )
             if fired:
-                assert similar_by_beta(s).is_yes
+                assert similar_by_beta(t).is_yes

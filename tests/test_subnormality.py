@@ -71,7 +71,7 @@ class TestIsSubnormal:
         forced, _ = subnormality_corpus
         for t in forced:
             s = ShiftSequences(t)
-            berger = is_subnormal(s).witness["berger"]
+            berger = is_subnormal(t).witness["berger"]
             assert math.isclose(berger.total_mass(), 1.0, rel_tol=1e-12)
             for n in range(25):
                 assert math.isclose(berger.moment(n), s.gamma(n), rel_tol=1e-10)
@@ -114,7 +114,7 @@ class TestHankelOracle:
         disagreements = 0
         for t in forced + perturbed:
             s = ShiftSequences(t)
-            sub = is_subnormal(s)
+            sub = is_subnormal(t)
             oracle = hankel_psd_oracle([s.gamma(n) for n in range(18)], 8, tol=1e-8)
             if oracle.is_inconclusive or sub.is_inconclusive:
                 continue
@@ -152,7 +152,7 @@ class TestNecessaryConditions:
             nu = AtomicMeasure((atom,))
             t = ScalarTriplet(nu.resolvent_integrals()[0], 0.0, nu)
             assert is_subnormal(t).is_yes
-            assert self.scan_failed_ids(ShiftSequences(t)) == ["ii-diagonal-sum-nonpositive"]
+            assert self.scan_failed_ids(t) == ["ii-diagonal-sum-nonpositive"]
             assert necessary_conditions(t).to_json()["certifies_not_similar"] is False
 
     def test_not_applicable_above_one(self):
@@ -168,13 +168,13 @@ class TestNecessaryConditions:
         assert "iv-negative-b-or-no-interior-atom" in report.failed_ids
 
     @staticmethod
-    def scan_failed_ids(s, k_max=64, atol=1e-12):
+    def scan_failed_ids(t, k_max=64, atol=1e-12):
         """The conditions failed by the diagonal triplets of index k <= k_max."""
-        diag = [diagonal_triplet(s, k) for k in range(k_max + 1)]
+        diag = [diagonal_triplet(t, k) for k in range(k_max + 1)]
         sums = [d.b_k + d.nu_k.total_mass() for d in diag]
-        nu = s.triplet.nu
+        nu = t.nu
         passed = {
-            "i-c-zero": s.triplet.c == 0.0,
+            "i-c-zero": t.c == 0.0,
             "ii-diagonal-sum-nonpositive": all(v <= atol for v in sums),
             "iii-zero-sum-or-offorigin-support": all(abs(v) <= atol for v in sums)
             or any(p > 0.0 for p, _ in nu.atoms),
@@ -203,8 +203,7 @@ class TestNecessaryConditions:
             if not validate_triplet(t).is_yes:
                 continue
             checked += 1
-            s = ShiftSequences(t)
-            scan, closed = self.scan_failed_ids(s), necessary_conditions(s).failed_ids
+            scan, closed = self.scan_failed_ids(t), necessary_conditions(t).failed_ids
             assert set(scan) <= set(closed), t
             # gamma_64 (b_64 + nu_64-total), the largest numerator the scan reads
             last = slope + 128 * c + math.fsum(w * p**65 / (p - 1.0) for p, w in nu.atoms)
