@@ -468,11 +468,6 @@ def _run_batch(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("CPDSHIFT_LOG")
-    if level:
-        import logging
-
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, which reads as inconclusive

@@ -9,11 +9,11 @@ When every gamma_n is positive, lambda_n = sqrt(gamma_{n+1} / gamma_n) are the
 weights of a bounded shift with formal moments gamma, and its defects beta_n =
 1 - 2 lambda_n^2 + lambda_n^2 lambda_{n+1}^2 equal (2c + nu-moment_n) / gamma_n.
 
-All of them are read from one scaled value per index, g_n = gamma_n theta^-n with
-theta = max(1, top atom of nu), or the top atom itself in the limit form below,
-which stays in the double range at every n:
-lambda_n^2 = theta g_{n+1} / g_n, log gamma_n = n log theta + log g_n, and
-beta_n = (sum w (x/theta)^n + 2c theta^-n) / g_n.
+All of them are read from one scaled value per index, g_n = gamma_n theta^-n 2^-e
+with theta = max(1, top atom of nu), or the top atom in the limit form below,
+and e the exponent of the triplet's scaled data, which stays in the double range
+at every n: lambda_n^2 = theta g_{n+1} / g_n, log gamma_n = n log theta +
+log g_n + e log 2, and beta_n = (sum w (x/theta)^n + 2c theta^-n) 2^-e / g_n.
 
 The terms of g_n are written once, in _g_terms, in one of two coefficient sets:
 the Q form above, and the limit form sum w x^n / (x-1)^2, the same gamma_n
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, over_square, saturating_ldexp
 from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Record, Verdict, _set
 
@@ -94,12 +94,11 @@ class ScalarTriplet(_Owner):
         _set(self, "nu", nu)
         _set(self, "_derived", {})
 
-    # validate_triplet(t), the resolvent sums (i1, i2) of nu and ShiftSequences(t), which
-    # raises InvalidTripletError unless t validates: like limit_coefficients and
-    # classify_type, made on the first read and owned by the object
+    # made on the first read and owned by t; sequences raises InvalidTripletError unless t validates
     validation = property(lambda t: t._own("validation", validate_triplet, t))
-    resolvent = property(lambda t: t._own("resolvent", t.nu.resolvent_integrals))
+    scaled = property(lambda t: t._own("scaled", _scaled, t))
     sequences = property(lambda t: t._own("sequences", ShiftSequences, t))
+    growth = property(lambda t: t._own("growth", gamma_growth_class, t))
 
     def to_json(self) -> dict:
         return {"b": self.b, "c": self.c, "nu": self.nu.to_json()}
@@ -112,6 +111,18 @@ class ScalarTriplet(_Owner):
             if key not in obj:
                 raise ValueError(f'triplet JSON missing required key "{key}"')
         return cls(float(obj["b"]), float(obj["c"]), AtomicMeasure.from_json(obj["nu"]))
+
+
+def _scaled(t: ScalarTriplet) -> tuple:
+    """(e, b, c, atoms): b, c and nu times 2^-e, for the least e >= 0 that keeps every sum finite.
+
+    A term of g_n (n <= INDEX_LIMIT + 1), of a beta numerator or of a resolvent
+    sum is below 2^107 times its datum, and a sum has len(atoms) + 3 terms.
+    """
+    k = math.frexp(max(abs(t.b), t.c, *[w for _, w in t.nu.atoms]))[1] + 107
+    e = max(0, k + (len(t.nu.atoms) + 3).bit_length() - sys.float_info.max_exp)
+    atoms = tuple([(p, math.ldexp(w, -e)) for p, w in t.nu.atoms]) if e else t.nu.atoms
+    return e, math.ldexp(t.b, -e), math.ldexp(t.c, -e), atoms
 
 
 class TypeLabel(Record):
@@ -131,41 +142,43 @@ def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
 
     i1, i2 are the resolvent sums of nu.  L and A are differences of rounded
     inputs, so each reads as 0 within ROUNDING of the terms it is computed
-    from: |b| + sum w / |x-1| for L and 1 + i2 for A.  An overflowed (infinite)
-    scale reads nothing as 0.  When both would read 0 and nu has no atom off
-    the origin, gamma_n = A + L n for n >= 1 and the computed pair stands.
-    Every decision on the signs of L and A reads this pair.
+    from: |b| + sum w / |x-1| for L and 1 + i2 for A.  When both would read 0
+    and nu has no atom off the origin, gamma_n = A + L n for n >= 1 and the
+    computed pair stands.  Every decision on the signs of L and A reads this
+    pair, computed from t.scaled and taken back by 2^e, saturating to +-inf.
     """
-    return t._own("coefficients", _limit_coefficients, t)
+    return t._own("coefficients", _limit_coefficients, t)[:2]
 
 
-def _limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
-    i1, i2 = t.resolvent
-    slope, constant = t.b - i1, 1.0 - i2
-    scale = abs(t.b) + math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
-    flat_slope = abs(slope) <= ROUNDING * scale < math.inf
-    flat_constant = abs(constant) <= ROUNDING * (1.0 + i2) < math.inf
-    if flat_slope and flat_constant and t.nu.support_max() <= 0.0:
-        return slope, constant
-    return (0.0 if flat_slope else slope), (0.0 if flat_constant else constant)
+def _limit_coefficients(t: ScalarTriplet) -> tuple:  # (L, A, L 2^-e, A 2^-e)
+    e, b, _, atoms = t.scaled  # so that no term below overflows
+    i2 = math.fsum([math.ldexp(*over_square(w, p - 1.0)) for p, w in atoms])
+    slope, constant = b - math.fsum(w / (p - 1.0) for p, w in atoms), 2.0**-e - i2
+    flat_slope = abs(slope) <= ROUNDING * (abs(b) + math.fsum(w / abs(p - 1.0) for p, w in atoms))
+    flat_constant = abs(constant) <= ROUNDING * (2.0**-e + i2)
+    if not (flat_slope and flat_constant and t.nu.support_max() <= 0.0):
+        slope, constant = (0.0 if flat_slope else slope), (0.0 if flat_constant else constant)
+    return slope * 2.0**e, constant * 2.0**e, slope, constant
 
 
-def gamma_growth_class(t: ScalarTriplet) -> tuple[float, int, float]:
-    """(r, d, K) with gamma_n ~ K r^n n^d, from gamma_n = A + L n + c n^2 + sum_x w x^n / (x-1)^2.
+def gamma_growth_class(t: ScalarTriplet) -> tuple[tuple[float, int, float], tuple[float, int]]:
+    """((r, d, K), (m, k)) with gamma_n ~ K r^n n^d and K = m 2^k, (m, k) in range where K is not.
 
-    The top atom theta leads when theta > 1, else the first of c n^2, L n and
-    A with a positive coefficient (limit_coefficients), else the top atom
-    below 1.  So (a - 1, 0, 1 - 2a + a at 0), whose L is 0 but for the
-    rounding of 1 - 2a + a, has the class (1, 0, a) of W(a, 1), which
-    wab_classify builds with L = 0 exactly.
+    The top atom theta of gamma_n = A + L n + c n^2 + sum w x^n / (x-1)^2 leads
+    when theta > 1, else the first of c n^2, L n and A with a positive
+    coefficient (limit_coefficients), else the top atom below 1.  So (a - 1, 0,
+    1 - 2a + a at 0), whose L is 0 but for the rounding of 1 - 2a + a, has the
+    class (1, 0, a) of W(a, 1), which wab_classify builds with L = 0 exactly.
     """
     top, mass = t.nu.atoms[-1] if t.nu.atoms else (0.0, 0.0)
     if top < 1.0:
-        slope, constant = limit_coefficients(t)
-        for d, coeff in ((2, t.c), (1, slope), (0, constant)):
+        e, _, c, _ = t.scaled
+        for d, coeff in zip((2, 1, 0), (c, *t._own("coefficients", _limit_coefficients, t)[2:])):
             if coeff > 0.0:
-                return 1.0, d, coeff
-    return top, 0, mass / (top - 1.0) ** 2
+                m, k = math.frexp(coeff)
+                return (1.0, d, coeff * 2.0**e), (m, k + e)
+    m, k = over_square(mass, top - 1.0)
+    return (top, 0, saturating_ldexp(m, k)), (m, k)
 
 
 def _admissible_case(t: ScalarTriplet, coefficients: tuple[float, float] | None):
@@ -309,20 +322,12 @@ def _forward_scan(t: ScalarTriplet, case: int) -> Verdict:
     )
 
 
-def _fsum_g(terms) -> float:
-    """g_n as the fsum of its terms; +inf past the double range."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
-
-
 def _theta(t: ScalarTriplet) -> float:
     return max(1.0, t.nu.support_max())
 
 
 def _g_terms(t: ScalarTriplet, theta: float, n: int, count: int, limit: bool):
-    """The terms of g_m = gamma_m theta^-m for n <= m < n + count, in one coefficient set.
+    """The terms of g_m = gamma_m theta^-m 2^-e for n <= m < n + count, in one coefficient set.
 
     Returns (rows, seeds, steps).  rows[i] holds the polynomial terms of
     g_{n+i}, and rows[0] also the atom terms w S_n, so that g_n is the sum of
@@ -333,21 +338,22 @@ def _g_terms(t: ScalarTriplet, theta: float, n: int, count: int, limit: bool):
     and the steps m theta^-(m+1), with theta^-m taken one division at a time.
     The limit form gamma_m = sum w x^m / (x-1)^2 has no polynomial terms,
     S_n = (x/theta)^n / (x-1)^2 and steps of 0: it takes no power of theta,
-    which there is the top atom and may be tiny.
+    which there is the top atom and may be tiny.  1, b, c and w take 2^-e.
 
-    t is read for b, c and nu only, so a ShiftSequences, which keeps them,
-    stands in for its triplet here, in _g_block and in _far_g.
+    t is read for t.scaled only, so a ShiftSequences, which keeps it, stands
+    in for its triplet here, in _g_block and in _far_g.
     """
+    e, b, c, atoms = t.scaled
     if limit:
         rows, steps = [[] for _ in range(count)], [0.0] * count
     else:
-        rows, steps, u = [], [], theta**-n
+        rows, steps, u, one = [], [], theta**-n, 2.0**-e
         for m in range(n, n + count):
-            rows.append([u, t.b * m * u, t.c * m * m * u])
+            rows.append([one * u, b * m * u, c * m * m * u])
             u /= theta
             steps.append(m * u)
     seeds = []
-    for p, w in t.nu.atoms:
+    for p, w in atoms:
         r = p / theta
         s = r**n / (p - 1.0) ** 2 if limit else q_poly_scaled(n, p, theta)
         rows[0].append(w * s)
@@ -366,25 +372,25 @@ def _g_block(t: ScalarTriplet, theta: float, start: int, count: int, limit: bool
         for row, step in zip(rows[1:], steps):
             s = r * s + step
             row.append(w * s)
-    return tuple(map(_fsum_g, rows))
+    return tuple(map(math.fsum, rows))
 
 
 def _far_g(t: ScalarTriplet, theta: float, n: int, limit: bool) -> float:
     """g_n from the O(1) kernel: the direct sum of its terms, for indices past the prefix."""
-    return _fsum_g(_g_terms(t, theta, n, 1, limit)[0][0])
+    return math.fsum(_g_terms(t, theta, n, 1, limit)[0][0])
 
 
-def _unscale(g: float, theta: float, n: int) -> float:
-    """gamma_n = g_n theta^n; +inf when it overflows the double range."""
+def _unscale(g: float, theta: float, n: int, unit: float) -> float:
+    """gamma_n = g_n theta^n unit, unit = 2^e; +inf when it overflows the double range."""
     try:
-        return g * theta**n
+        return g * theta**n * unit
     except OverflowError:
         return math.inf
 
 
 def _gamma_value(t: ScalarTriplet, theta: float, n: int) -> float:
     """gamma_n from the O(1) kernel in the Q form, for the validation scan."""
-    return _unscale(_far_g(t, theta, n, False), theta, n)
+    return _unscale(_far_g(t, theta, n, False), theta, n, 2.0 ** t.scaled[0])
 
 
 def defect_moment_measure(t: ScalarTriplet) -> AtomicMeasure:
@@ -398,8 +404,8 @@ def _checked_betas(start: int, defect, theta: float, g) -> list[float]:
     """beta_n for start <= n < start + len(g) - 2, from g = (g_start, g_start+1, ...).
 
     Returns the closed form sum w r^n / g_n over defect = ((x/theta, w), ...),
-    its numerator +inf past the double range as g_n is, checked at every index
-    against the weight route 1 - 2 lambda_n^2 + lambda_n^2 lambda_{n+1}^2:
+    w and g_n scaled alike by 2^-e, checked at every index against the weight
+    route 1 - 2 lambda_n^2 + lambda_n^2 lambda_{n+1}^2:
     disagreement beyond BETA_AGREEMENT_RTOL is an implementation bug and
     raises rather than averaging.  Where several indices fail, the first
     raises what it raises when read by itself.
@@ -407,7 +413,7 @@ def _checked_betas(start: int, defect, theta: float, g) -> list[float]:
     ns = range(start, start + len(g) - 2)
     try:
         rows = zip(*([w * r**n for n in ns] for r, w in defect)) if defect else [()] * len(ns)
-        closed = [_fsum_g(row) / g0 for row, g0 in zip(rows, g)]
+        closed = [math.fsum(row) / g0 for row, g0 in zip(rows, g)]
         sq = [theta * b / a for a, b in zip(g, g[1:])]
     except ArithmeticError:  # possibly at a later index than a mismatch: check one at a time
         if len(ns) > 1:
@@ -427,18 +433,18 @@ def _checked_betas(start: int, defect, theta: float, g) -> list[float]:
 class ShiftSequences:
     """Formal moments gamma_n, weights lambda_n and defects beta_n of a validated triplet.
 
-    The owner of the scaled prefix g_n and of the defect measure nu + 2c at 1.
-    ShiftSequences(t) builds a new one; criteria and reports share
-    t.sequences, the one that the triplet object owns.  It keeps b, c and nu
-    of t, not t itself, so a triplet and its sequences form no reference
-    cycle and are freed together when the last reference goes.
+    The owner of the prefix of g_n = gamma_n theta^-n 2^-e, e that of
+    t.scaled, and of the defect measure nu + 2c at 1.  ShiftSequences(t)
+    builds a new one; reports share t.sequences, the one the triplet owns.  It
+    keeps c, nu and t.scaled, not t, so the two form no reference cycle and
+    are freed together when the last reference goes.
 
-    The prefix holds g_n only; log gamma_n = n log theta + log g_n is derived
-    on read.  Each prefix block comes from _g_block, which steps the atom
-    seeds from its first index, so values do not depend on the order of reads
-    and a block from 0 of any length gives the prefix's first entries.  It is
-    grown on the first read of a gamma, weight or beta; the type check of
-    classify_type grows none.  Past PREFIX_WINDOW g_n is the direct sum of
+    The prefix holds g_n only; log gamma_n = n log theta + log g_n + e log 2 is
+    derived on read.  Each prefix block comes from _g_block, which steps the
+    atom seeds from its first index, so values do not depend on the order of
+    reads and a block from 0 of any length gives the prefix's first entries.
+    It is grown on the first read of a gamma, weight or beta; the type check
+    of classify_type grows none.  Past PREFIX_WINDOW g_n is the direct sum of
     the terms.  Both read the limit form, with theta the top atom, when
     validation took its limit branch with gamma_limit = 0 (c = 0, every atom
     below 1 and limit_coefficients reading (0, 0)), and the Q form otherwise;
@@ -460,14 +466,15 @@ class ShiftSequences:
             raise InvalidTripletError(
                 f"triplet failed positivity validation ({v.outcome}): {v.witness}"
             )
-        self.b, self.c, self.nu = triplet.b, triplet.c, triplet.nu
+        self.c, self.nu, self.scaled = triplet.c, triplet.nu, triplet.scaled
+        self._unit, self._log_unit = 2.0 ** self.scaled[0], self.scaled[0] * math.log(2.0)
         self.defect_measure = defect_moment_measure(triplet)
         self._limit = v.witness.get("branch") == "limit" and v.witness["gamma_limit"] == 0.0
         # the limit form decays like its top atom, which scales it into the double range;
         # theta - 1 is exact for theta >= 1/2 only, so the top atom takes log
         self.theta = triplet.nu.support_max() if self._limit else _theta(triplet)
         self.log_theta = math.log(self.theta) if self._limit else math.log1p(self.theta - 1.0)
-        self._defect = tuple((p / self.theta, w) for p, w in self.defect_measure.atoms)
+        self._defect = tuple((p / self.theta, w / self._unit) for p, w in self.defect_measure.atoms)
         self._prefix: tuple[float, ...] = ()
 
     def _g(self, n: int) -> float:
@@ -509,17 +516,17 @@ class ShiftSequences:
 
     def gamma(self, n: int) -> float:
         """gamma_n in double precision; +inf when it overflows the double range."""
-        return _unscale(self._g(n), self.theta, n)
+        return _unscale(self._g(n), self.theta, n, self._unit)
 
     def gammas(self, count: int) -> list[float]:
         """gamma(n) for every n < count."""
-        theta = self.theta
-        return [_unscale(g, theta, n) for n, g in enumerate(self._gs(count))]
+        theta, unit = self.theta, self._unit
+        return [_unscale(g, theta, n, unit) for n, g in enumerate(self._gs(count))]
 
     def _log_gamma(self, n: int, g: float) -> float:
         if not g > 0.0:
             raise ArithmeticError(f"gamma_{n} is not positive in double precision")
-        return n * self.log_theta + math.log(g)
+        return n * self.log_theta + math.log(g) + self._log_unit
 
     def log_gamma(self, n: int) -> float:
         return self._log_gamma(n, self._g(n))
@@ -557,7 +564,7 @@ class ShiftSequences:
         """
         g, theta = self._gs(count + 2), self.theta
         betas = _checked_betas(0, self._defect, theta, g)
-        gammas = [_unscale(x, theta, n) for n, x in enumerate(g[:count])]
+        gammas = [_unscale(x, theta, n, self._unit) for n, x in enumerate(g[:count])]
         weights = [math.sqrt(theta * b / a) for a, b in zip(g[:count], g[1 : count + 1])]
         return gammas, weights, betas, [self._log_gamma(n, x) for n, x in enumerate(g[:count])]
 

@@ -8,6 +8,7 @@ supported.  An empty atom list is the zero measure.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -22,6 +23,21 @@ When an atom sits exactly at 1, or the terms of the first overflow to -inf
 below 1 and to +inf above it, the first integral is reported as NaN
 (undefined); with an atom at 1 the second is +inf.
 """
+
+
+def over_square(w: float, d: float) -> tuple[float, int]:
+    """w / d^2 as (m, k), m 2^k, from frexp(w) and frexp(d): w / d**2 bit for bit where normal."""
+    mw, ew = math.frexp(w)
+    md, ed = math.frexp(d)
+    return mw / md**2, ew - 2 * ed
+
+
+def saturating_ldexp(m: float, k: int) -> float:
+    """m 2^k, +-inf past the double range as a float product saturates."""
+    try:
+        return math.ldexp(m, k)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 class AtomicMeasure(Record):
@@ -147,7 +163,8 @@ class AtomicMeasure(Record):
 
     def _scaled_sums(self, top: float, count: int) -> list[float]:
         """S_n = moment(n) / top^n = fsum m (p/top)^n for every n < count, top > 0 the top point."""
-        columns = [[m * (p / top) ** n for n in range(count)] for p, m in self.atoms]
+        ratios = [(p / top, m) for p, m in self.atoms]
+        columns = [[m * r**n for n in range(count)] for r, m in ratios]
         return [math.fsum(row) for row in zip(*columns)]
 
     def log_moments(self, count: int) -> list[float]:
@@ -179,7 +196,7 @@ class AtomicMeasure(Record):
             i1 = math.fsum(m / (p - 1.0) for p, m in self.atoms)
         except ValueError:  # -inf + inf
             i1 = math.nan
-        i2 = math.fsum(m / (p - 1.0) ** 2 for p, m in self.atoms)
+        i2 = math.fsum([saturating_ldexp(*over_square(m, p - 1.0)) for p, m in self.atoms])
         return ResolventIntegrals(i1, i2)
 
     # -- transforms ---------------------------------------------------------
@@ -193,19 +210,13 @@ class AtomicMeasure(Record):
         return AtomicMeasure.from_atoms((p * p, m) for p, m in self.atoms)
 
     def normalize(self) -> "AtomicMeasure":
-        """Scale to a probability measure; the zero measure cannot be normalized.
-
-        Where the total overflows, the masses are first divided by the largest.
-        """
-        total = self.total_mass()
-        if total <= 0.0:
+        """Scale to a probability measure; the zero measure cannot be normalized."""
+        if not self.atoms:
             raise ValueError("cannot normalize zero measure")
-        atoms = self.atoms
-        if total == math.inf:
-            top = max(m for _, m in atoms)
-            atoms = tuple((p, m / top) for p, m in atoms)
-            total = math.fsum(m for _, m in atoms)
-        return AtomicMeasure(tuple((p, m / total) for p, m in atoms))
+        masses = [m for _, m in self.atoms]
+        e = min(0, sys.float_info.max_exp - math.frexp(max(masses))[1] - len(masses).bit_length())
+        total = math.fsum([math.ldexp(m, e) for m in masses])  # 2^e keeps the total finite
+        return AtomicMeasure(tuple([(p, math.ldexp(m, e) / total) for p, m in self.atoms]))
 
     def approx_equal(self, other: "AtomicMeasure", rtol: float = 1e-12) -> bool:
         if len(self.atoms) != len(other.atoms):

@@ -9,19 +9,21 @@ The tests are exact for every input they accept: triplets and atomic
 measures, a model shift's Berger measure among them.  Their moments grow
 like K r^n n^d with the growth class (r, d, K) in closed form, so the ratio
 om/lam is bounded exactly when (r, d) of om is at most that of lam,
-compared lexicographically.  A triplet's linear and constant coefficients
-count as 0 within the rounding of their inputs.  A finite weight list
-cannot show that a ratio is bounded, so only intertwiner_defect, which
-checks an identity on a finite truncation, accepts one; it reads a
-triplet's moments from t.sequences, the sequences its reports share.
+compared lexicographically, and the limit of the ratio reads each K as
+(m, k), K = m 2^k, in range where K is not.  A triplet's linear and
+constant coefficients count as 0 within the rounding of their inputs.  A
+finite weight list cannot show that a ratio is bounded, so only
+intertwiner_defect, which checks an identity on a finite truncation,
+accepts one; it reads a triplet's moments from t.sequences, the sequences
+its reports share.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ScalarTriplet, gamma_growth_class
-from .measures import AtomicMeasure
+from .core import ScalarTriplet
+from .measures import AtomicMeasure, saturating_ldexp
 from .verdict import NO, YES, Verdict
 
 GROWTH_TAG = "moment-growth-class"
@@ -56,32 +58,25 @@ def _log_moments(obj, count: int) -> list[float]:
     raise TypeError(f"cannot read moments from {type(obj).__name__}")
 
 
+def _class(obj) -> tuple[tuple[float, int, float], tuple[float, int]]:
+    """((r, d, K), (m, k)): the growth class of obj and K = m 2^k, in range where K is not."""
+    if isinstance(obj, AtomicMeasure):
+        _require_positive_moments(obj)
+        top, mass = obj.atoms[-1]
+        return (top, 0, mass), math.frexp(mass)
+    if not isinstance(obj, ScalarTriplet):
+        raise TypeError(f"no growth class for {type(obj).__name__}")
+    obj.sequences  # InvalidTripletError unless obj validates
+    return obj.growth
+
+
 def growth_class(obj) -> tuple[float, int, float]:
     """(r, d, K) with n-th moment ~ K r^n n^d, for a triplet or an atomic measure.
 
     A triplet's class is core.gamma_growth_class; a measure's moments are
     led by the mass at its top point.
     """
-    if isinstance(obj, AtomicMeasure):
-        _require_positive_moments(obj)
-        top, mass = obj.atoms[-1]
-        return top, 0, mass
-    if not isinstance(obj, ScalarTriplet):
-        raise TypeError(f"no growth class for {type(obj).__name__}")
-    obj.sequences  # InvalidTripletError unless obj validates
-    return gamma_growth_class(obj)
-
-
-def _lead(obj, cls: tuple[float, int, float]) -> tuple[float, float]:
-    """(w, s) with K = w / s in the growth class cls = (r, d, K) of obj.
-
-    Where an atom at r leads a triplet's class (core.gamma_growth_class), w is
-    its mass and s = (r - 1)^2; else w = K and s = 1.
-    """
-    r, _, k = cls
-    if isinstance(obj, AtomicMeasure) or r == 1.0:
-        return k, 1.0
-    return obj.nu.atoms[-1][1], (r - 1.0) ** 2
+    return _class(obj)[0]
 
 
 def quasi_affine_test(lam_hat, om_hat) -> Verdict:
@@ -89,17 +84,13 @@ def quasi_affine_test(lam_hat, om_hat) -> Verdict:
 
     Decided by the growth classes: the ratio tends to K_om / K_lam when the
     two (r, d) agree, to 0 when om's is lower and to infinity when it is
-    higher.  Where a K = w / (r - 1)^2 overflows or underflows, the limit
-    reads from the masses w of the leading atoms, in which (r - 1)^2 cancels.
+    higher.  K_om / K_lam is read from their (m, k) forms.
     """
-    lam, om = growth_class(lam_hat), growth_class(om_hat)
+    (lam, (m_lam, k_lam)), (om, (m_om, k_om)) = _class(lam_hat), _class(om_hat)
     if om[:2] != lam[:2]:
         limit = 0.0 if om[:2] < lam[:2] else math.inf
-    elif 0.0 < om[2] < math.inf and 0.0 < lam[2] < math.inf:
-        limit = om[2] / lam[2]
     else:
-        (w_om, s_om), (w_lam, s_lam) = _lead(om_hat, om), _lead(lam_hat, lam)
-        limit = w_om / w_lam * (s_lam / s_om)
+        limit = saturating_ldexp(m_om / m_lam, k_om - k_lam)
     witness = {"class_lam": lam, "class_om": om, "limit_ratio": limit}
     return Verdict(YES if om[:2] <= lam[:2] else NO, "quasi_affine_test", GROWTH_TAG, witness)
 

@@ -29,10 +29,9 @@ from .core import (
     ROUNDING,
     ScalarTriplet,
     classify_type,
-    gamma_growth_class,
     limit_coefficients,
 )
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, over_square, saturating_ldexp
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
@@ -65,9 +64,8 @@ def similar_by_beta(t: ScalarTriplet) -> Verdict:
     1 both classes are led by the top atom theta, the limit is
     (theta - 1)^2 > 0 and the answer is "yes"; the witness eps is
     _tail_floor from n = 0, a floor for every n, so no beta_n is read.  The
-    yes stands where eps underflows to 0.  Where K = w / (theta - 1)^2, w the
-    mass of nu at theta, overflows or underflows, the limit reads
-    (theta - 1)^2 mass / w.
+    yes stands where eps underflows to 0.  The limit reads K as its (m, k),
+    K = m 2^k (t.growth), which stays in range where K does not.
     Without such an atom the limit is positive only when c = 0 and A = L = 0
     (within their rounding), and then beta_n is a convex combination of the
     (1 - x)^2 over the atoms: the least of them floors every beta_n.
@@ -85,13 +83,9 @@ def similar_by_beta(t: ScalarTriplet) -> Verdict:
             note="the defect terms vanish; the shift lies in the two-parameter model family",
         )
     top, mass = defect[-1]
-    class_gamma = gamma_growth_class(t)
-    if class_gamma[:2] != (top, 0):
-        limit = 0.0
-    elif 0.0 < class_gamma[2] < math.inf:
-        limit = mass / class_gamma[2]
-    else:  # K = w / (top - 1)^2 over- or underflowed, w the mass of nu at top
-        limit = mass / t.nu.atoms[-1][1] * (top - 1.0) ** 2
+    class_gamma, (m, k) = t.growth
+    m_mass, k_mass = math.frexp(mass)
+    limit = saturating_ldexp(m_mass / m, k_mass - k) if class_gamma[:2] == (top, 0) else 0.0
     witness = {"class_gamma": class_gamma, "class_defect": (top, 0, mass), "limit": limit}
     if t.nu.support_max() > 1.0:
         eps = _tail_floor(t, 0)
@@ -124,7 +118,7 @@ def _tail_floor(t: ScalarTriplet, n_from: int) -> float:
     theta = t.nu.support_max()
     log_theta = math.log1p(theta - 1.0)
     mass_below = math.fsum(w for p, w in t.nu.atoms if p < 1.0)
-    terms = [math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0)]
+    terms = [math.fsum(saturating_ldexp(*over_square(w, p - 1.0)) for p, w in t.nu.atoms if p > 1)]
     for k, a in enumerate((1.0, max(t.b, 0.0), t.c + mass_below / 2.0)):
         terms.append(a * _power_peak(k, n_from, log_theta))
     return t.nu.mass_at(theta) / sum(terms)
@@ -143,7 +137,7 @@ def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
     """
     theta, mass = t.nu.atoms[-1]
     log_theta = math.log1p(theta - 1.0)
-    i1, i2 = t.resolvent
+    i1, i2 = t.nu.resolvent_integrals()
     slope, constant = t.b - i1, 1.0 - i2
     i1_abs = math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
     coeffs = (
@@ -152,8 +146,9 @@ def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
         t.c,
     )
     terms = [a * _power_peak(k, n_from, log_theta) for k, a in enumerate(coeffs)]
-    terms += [w * (p / theta) ** n_from / (p - 1.0) ** 2 for p, w in t.nu.atoms[:-1]]
-    err = math.fsum(terms) / (mass / (theta - 1.0) ** 2)
+    below = t.nu.atoms[:-1]
+    terms += [saturating_ldexp(*over_square(w * (p / theta) ** n_from, p - 1.0)) for p, w in below]
+    err = math.fsum(terms) / saturating_ldexp(*over_square(mass, theta - 1.0))
     return err * (1.0 + n_from * ROUNDING) + ROUNDING
 
 
@@ -179,7 +174,7 @@ def criterion_kdwq(t: ScalarTriplet) -> Verdict:
             {"theta": theta},
             note="sup of the support does not exceed 1; hypotheses not met",
         )
-    i2_above = math.fsum(w / (p - 1.0) ** 2 for p, w in t.nu.atoms if p > 1.0)
+    i2_above = math.fsum(saturating_ldexp(*over_square(w, p - 1.0)) for p, w in t.nu.atoms if p > 1)
     slope, constant = limit_coefficients(t)
     flags = {
         "a-resolvent-gap": constant < 0.0,

@@ -153,6 +153,16 @@ class TestSubnormal:
         if command == "model":
             assert doc["model"]["berger"]["atoms"] == [[1.5, 0.5], [1.6, 0.5]]
 
+    def test_defects_past_the_double_range_stay_positive(self, capsys):
+        # g_n and the beta numerators take the triplet's scale 2^-1023, so no g_n
+        # saturates: beta_0 = 2e308 prints inf and every later beta_n is positive
+        spec = '{"b": 0, "c": 0, "nu": {"atoms": [[1.5, 1e308], [1.6, 1e308]]}}'
+        code, doc = run_json(capsys, "classify", spec)
+        assert (code, doc["verdict"]) == (0, "TypeIII")
+        assert doc["beta"]["beta0"] == "inf"
+        assert doc["beta"]["all_positive_1_to_n_max"] is True
+        assert doc["beta"]["min_over_1_to_n_max"] > 0.0
+
 
 class TestSimilar:
     def test_type_two_cites_dichotomy(self, capsys):
@@ -263,6 +273,17 @@ class TestCompare:
         code, doc = run_json(capsys, "similar", spec)
         limit = doc["criteria"]["similar_by_beta"]["witnesses"]["limit"]
         assert math.isclose(limit, (1.000001 - 1.0) ** 2, rel_tol=1e-15)
+
+    def test_coefficient_overflow_reads_its_exponent(self, capsys):
+        # i1 = w / (x - 1) overflows, so L = -i1 leads the class (1, 1, K = L) and prints
+        # inf; the limits read L from the scaled data, where it is in range
+        spec = '{"b": 0, "c": 0, "nu": {"atoms": [[0.9999999999, 1e300]]}}'
+        code, doc = run_json(capsys, "compare", spec, spec)
+        assert (code, doc["verdict"]) == (0, "Similar")
+        for side in ("forward", "backward"):
+            witness = doc["similarity"]["witnesses"][side]["witnesses"]
+            assert witness["class_lam"] == [1.0, 1, "inf"]
+            assert witness["limit_ratio"] == 1.0
 
 
 class TestValidationOutcomes:

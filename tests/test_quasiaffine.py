@@ -192,6 +192,14 @@ class TestGrowthClass:
         assert v.witness["forward"]["witnesses"]["limit_ratio"] == pytest.approx(k, rel=1e-12)
         assert v.witness["backward"]["witnesses"]["limit_ratio"] == pytest.approx(1 / k, rel=1e-12)
 
+    def test_top_atom_past_the_square_range(self):
+        # (theta - 1)^2 = 1e310 overflows a double: K = 1e-310 reads from its (m, k) form
+        t = trip(0.0, 0.0, [(1e155, 1.0)])
+        v = similarity_test(t, t)
+        assert v.is_yes
+        for side in ("forward", "backward"):
+            assert v.witness[side]["witnesses"]["limit_ratio"] == 1.0
+
     def test_classes(self):
         assert growth_class(trip(0.0, 0.0, [(0.5, 0.4), (2.0, 1.0)])) == (2.0, 0, 1.0)
         assert growth_class(trip(0.3, 0.2, [(0.5, 0.4)]))[:2] == (1.0, 2)

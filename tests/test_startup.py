@@ -1,9 +1,9 @@
 """What a cpdshift process imports, read from sys.modules in a fresh interpreter.
 
 The report commands import only what they run: no dataclasses, inspect,
-logging, typing or wab.  The examples command and CPDSHIFT_LOG load the
-rest on demand.  Every module the span tracer in bench/spans.py wraps is
-loaded by `from cpdshift import cli`.
+logging, typing or wab.  The examples command loads wab on demand.  Every
+module the span tracer in bench/spans.py wraps is loaded by
+`from cpdshift import cli`.
 """
 
 import json
@@ -38,7 +38,7 @@ print(json.dumps({
 
 def fresh(code: str, *argv: str, **env: str) -> str:
     """The last line that `python -c code argv` prints, with src on the path."""
-    environ = {k: v for k, v in os.environ.items() if k != "CPDSHIFT_LOG"}
+    environ = dict(os.environ)
     path = os.pathsep.join(p for p in (str(SRC), environ.get("PYTHONPATH")) if p)
     environ.update(env, PYTHONPATH=path)
     proc = subprocess.run(
@@ -82,12 +82,6 @@ def test_commands_import_only_what_they_run(argv, numpy_imports):
 def test_examples_wab_loads_wab():
     doc = run_main("examples", "wab", "--a", "0.5", "--b", "1.0")
     assert doc["code"] == 0 and "cpdshift.wab" in doc["added"]
-
-
-def test_log_level_from_the_environment():
-    doc = run_main("classify", SPEC, CPDSHIFT_LOG="info")
-    assert doc["code"] == 0 and "logging" in doc["added"]
-    assert doc["root_level"] == 20  # logging.INFO
 
 
 def test_cli_loads_every_traced_layer():

@@ -31,7 +31,13 @@ from cpdshift import (
     similar_by_beta,
     validate_triplet,
 )
-from cpdshift.cli import compare_report, similar_report, subnormal_report
+from cpdshift.cli import (
+    classify_report,
+    compare_report,
+    series_rows,
+    similar_report,
+    subnormal_report,
+)
 
 
 def log_uniform(lo: float, hi: float):
@@ -156,3 +162,20 @@ def test_defect_floor_limit_holds():
     """similar_by_beta reads mass / K as (theta - 1)^2 mass / w where K is 0."""
     v = similar_by_beta(TINY_TOP_ATOM)
     assert v.is_yes and v.witness["limit"] == 4.0
+
+
+# g_n = gamma_n theta^-n lies near theta^-2 = 1e-310, below the normal range, and
+# q_poly_scaled's (theta - 1)^2 overflows: g_n reads 0 from n = 3 past the first block
+HUGE_TOP_ATOM = ScalarTriplet(0.0, 0.0, AtomicMeasure(((1e155, 1.0),)))
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True)
+@pytest.mark.parametrize(
+    "report",
+    [lambda t: classify_report(t, 64), lambda t: list(series_rows(t.sequences, 64))],
+    ids=["classify", "series"],
+)
+def test_far_g_holds(report):
+    """The betas past the first prefix block divide by a g_n of 0."""
+    assert validate_triplet(HUGE_TOP_ATOM).is_yes
+    report(HUGE_TOP_ATOM)
