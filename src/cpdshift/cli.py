@@ -499,9 +499,7 @@ def _run_command(args) -> int:
         return code
 
     if args.cmd == "compare":
-        ta = load_triplet(args.spec_a)
-        tb = load_triplet(args.spec_b)
-        report, code = compare_report(ta, tb)
+        report, code = compare_report(load_triplet(args.spec_a), load_triplet(args.spec_b))
         print(dumps(report, indent=2))
         return code
 

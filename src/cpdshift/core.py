@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .measures import AtomicMeasure, over_square, saturating_ldexp
+from .measures import AtomicMeasure, ResolventIntegrals, over_square, range_exponent, square_ratio
 from .qpoly import q_poly, q_poly_scaled  # noqa: F401  (q_poly re-exported)
 from .verdict import INCONCLUSIVE, NO, YES, InvalidTripletError, Record, Verdict, _set
 
@@ -65,7 +65,7 @@ CLASSIFY_TAG = "defect-type-classification"
 
 
 class _Owner(Record):
-    __slots__ = ("_derived",)  # what is made from the object; Record's fields omit it
+    __slots__ = ("_derived", "scaled")  # what is made from the object; Record's fields omit them
 
     def _own(self, key: str, make, *args):
         """The value under key: make(*args) on the first read, kept in the object."""
@@ -93,12 +93,13 @@ class ScalarTriplet(_Owner):
         _set(self, "c", c)
         _set(self, "nu", nu)
         _set(self, "_derived", {})
+        _set(self, "scaled", _scaled(self))  # (e, b, c, atoms), read by every sum over the data
 
     # made on the first read and owned by t; sequences raises InvalidTripletError unless t validates
     validation = property(lambda t: t._own("validation", validate_triplet, t))
-    scaled = property(lambda t: t._own("scaled", _scaled, t))
     sequences = property(lambda t: t._own("sequences", ShiftSequences, t))
     growth = property(lambda t: t._own("growth", gamma_growth_class, t))
+    resolvent = property(lambda t: t._own("coefficients", _limit_coefficients, t)[4])  # (i1, i2)
 
     def to_json(self) -> dict:
         return {"b": self.b, "c": self.c, "nu": self.nu.to_json()}
@@ -114,13 +115,9 @@ class ScalarTriplet(_Owner):
 
 
 def _scaled(t: ScalarTriplet) -> tuple:
-    """(e, b, c, atoms): b, c and nu times 2^-e, for the least e >= 0 that keeps every sum finite.
-
-    A term of g_n (n <= INDEX_LIMIT + 1), of a beta numerator or of a resolvent
-    sum is below 2^107 times its datum, and a sum has len(atoms) + 3 terms.
-    """
-    k = math.frexp(max(abs(t.b), t.c, *[w for _, w in t.nu.atoms]))[1] + 107
-    e = max(0, k + (len(t.nu.atoms) + 3).bit_length() - sys.float_info.max_exp)
+    """(e, b, c, atoms): b, c and nu times 2^-e, e the least that keeps every sum finite: a term of
+    g_n (n <= INDEX_LIMIT + 1), a beta numerator or a resolvent sum is below 2^107 its datum."""
+    e = range_exponent(max(abs(t.b), t.c, *[w for _, w in t.nu.atoms]), 107, len(t.nu.atoms) + 3)
     atoms = tuple([(p, math.ldexp(w, -e)) for p, w in t.nu.atoms]) if e else t.nu.atoms
     return e, math.ldexp(t.b, -e), math.ldexp(t.c, -e), atoms
 
@@ -150,15 +147,17 @@ def limit_coefficients(t: ScalarTriplet) -> tuple[float, float]:
     return t._own("coefficients", _limit_coefficients, t)[:2]
 
 
-def _limit_coefficients(t: ScalarTriplet) -> tuple:  # (L, A, L 2^-e, A 2^-e)
+def _limit_coefficients(t: ScalarTriplet) -> tuple:  # (L, A, L 2^-e, A 2^-e, (i1, i2))
     e, b, _, atoms = t.scaled  # so that no term below overflows
-    i2 = math.fsum([math.ldexp(*over_square(w, p - 1.0)) for p, w in atoms])
-    slope, constant = b - math.fsum(w / (p - 1.0) for p, w in atoms), 2.0**-e - i2
+    i1 = math.fsum(w / (p - 1.0) for p, w in atoms)
+    i2 = math.fsum([square_ratio(w, p - 1.0) for p, w in atoms])
+    resolvent = t.nu.resolvent_integrals() if e else ResolventIntegrals(i1, i2)  # unscaled
+    slope, constant = b - i1, 2.0**-e - i2
     flat_slope = abs(slope) <= ROUNDING * (abs(b) + math.fsum(w / abs(p - 1.0) for p, w in atoms))
     flat_constant = abs(constant) <= ROUNDING * (2.0**-e + i2)
     if not (flat_slope and flat_constant and t.nu.support_max() <= 0.0):
         slope, constant = (0.0 if flat_slope else slope), (0.0 if flat_constant else constant)
-    return slope * 2.0**e, constant * 2.0**e, slope, constant
+    return slope * 2.0**e, constant * 2.0**e, slope, constant, resolvent
 
 
 def gamma_growth_class(t: ScalarTriplet) -> tuple[tuple[float, int, float], tuple[float, int]]:
@@ -172,13 +171,12 @@ def gamma_growth_class(t: ScalarTriplet) -> tuple[tuple[float, int, float], tupl
     """
     top, mass = t.nu.atoms[-1] if t.nu.atoms else (0.0, 0.0)
     if top < 1.0:
-        e, _, c, _ = t.scaled
-        for d, coeff in zip((2, 1, 0), (c, *t._own("coefficients", _limit_coefficients, t)[2:])):
+        e, (slope, constant) = t.scaled[0], t._own("coefficients", _limit_coefficients, t)[2:4]
+        for d, coeff, k in ((2, t.c, 0), (1, slope, e), (0, constant, e)):  # c needs no scale
             if coeff > 0.0:
-                m, k = math.frexp(coeff)
-                return (1.0, d, coeff * 2.0**e), (m, k + e)
-    m, k = over_square(mass, top - 1.0)
-    return (top, 0, saturating_ldexp(m, k)), (m, k)
+                m, k_m = math.frexp(coeff)
+                return (1.0, d, coeff * 2.0**k), (m, k_m + k)
+    return (top, 0, square_ratio(mass, top - 1.0)), over_square(mass, top - 1.0)
 
 
 def _admissible_case(t: ScalarTriplet, coefficients: tuple[float, float] | None):

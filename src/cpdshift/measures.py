@@ -32,6 +32,19 @@ def over_square(w: float, d: float) -> tuple[float, int]:
     return mw / md**2, ew - 2 * ed
 
 
+def square_ratio(w: float, d: float) -> float:
+    """w / d**2; past the double range of d^2 from over_square, saturating."""
+    try:
+        return w / d**2
+    except OverflowError:
+        return saturating_ldexp(*over_square(w, d))
+
+
+def range_exponent(largest: float, headroom: int, count: int) -> int:
+    """The least e >= 0 that keeps a sum of count terms below largest 2^(headroom - e) finite."""
+    return max(0, math.frexp(largest)[1] + headroom + count.bit_length() - sys.float_info.max_exp)
+
+
 def saturating_ldexp(m: float, k: int) -> float:
     """m 2^k, +-inf past the double range as a float product saturates."""
     try:
@@ -60,9 +73,7 @@ class AtomicMeasure(Record):
                     f"atom {i}: point must be a finite nonnegative real, got {point!r}"
                 )
             if not math.isfinite(mass) or mass <= 0.0:
-                raise ValueError(
-                    f"atom {i}: mass must be a finite positive real, got {mass!r}"
-                )
+                raise ValueError(f"atom {i}: mass must be a finite positive real, got {mass!r}")
             if point <= last:
                 raise ValueError(
                     f"atom {i}: points must be strictly increasing, got {point!r} after {last!r}"
@@ -196,7 +207,7 @@ class AtomicMeasure(Record):
             i1 = math.fsum(m / (p - 1.0) for p, m in self.atoms)
         except ValueError:  # -inf + inf
             i1 = math.nan
-        i2 = math.fsum([saturating_ldexp(*over_square(m, p - 1.0)) for p, m in self.atoms])
+        i2 = math.fsum([square_ratio(m, p - 1.0) for p, m in self.atoms])
         return ResolventIntegrals(i1, i2)
 
     # -- transforms ---------------------------------------------------------
@@ -214,9 +225,9 @@ class AtomicMeasure(Record):
         if not self.atoms:
             raise ValueError("cannot normalize zero measure")
         masses = [m for _, m in self.atoms]
-        e = min(0, sys.float_info.max_exp - math.frexp(max(masses))[1] - len(masses).bit_length())
-        total = math.fsum([math.ldexp(m, e) for m in masses])  # 2^e keeps the total finite
-        return AtomicMeasure(tuple([(p, math.ldexp(m, e) / total) for p, m in self.atoms]))
+        scale = 2.0 ** -range_exponent(max(masses), 0, len(masses))  # keeps the total finite
+        total = math.fsum([m * scale for m in masses])
+        return AtomicMeasure(tuple([(p, m * scale / total) for p, m in self.atoms]))
 
     def approx_equal(self, other: "AtomicMeasure", rtol: float = 1e-12) -> bool:
         if len(self.atoms) != len(other.atoms):

@@ -87,9 +87,8 @@ def quasi_affine_test(lam_hat, om_hat) -> Verdict:
     higher.  K_om / K_lam is read from their (m, k) forms.
     """
     (lam, (m_lam, k_lam)), (om, (m_om, k_om)) = _class(lam_hat), _class(om_hat)
-    if om[:2] != lam[:2]:
-        limit = 0.0 if om[:2] < lam[:2] else math.inf
-    else:
+    limit = 0.0 if om[:2] < lam[:2] else math.inf
+    if om[:2] == lam[:2]:
         limit = saturating_ldexp(m_om / m_lam, k_om - k_lam)
     witness = {"class_lam": lam, "class_om": om, "limit_ratio": limit}
     return Verdict(YES if om[:2] <= lam[:2] else NO, "quasi_affine_test", GROWTH_TAG, witness)

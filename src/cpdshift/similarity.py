@@ -31,7 +31,7 @@ from .core import (
     classify_type,
     limit_coefficients,
 )
-from .measures import AtomicMeasure, over_square, saturating_ldexp
+from .measures import AtomicMeasure, saturating_ldexp, square_ratio
 from .verdict import INCONCLUSIVE, NO, YES, NotApplicableError, Verdict
 
 BETA_FLOOR_TAG = "defect-floor-invertibility"
@@ -75,13 +75,9 @@ def similar_by_beta(t: ScalarTriplet) -> Verdict:
     """
     defect = t.sequences.defect_measure.atoms
     if not defect or defect[-1][0] == 0.0:
-        return Verdict(
-            NO,
-            "similar_by_beta",
-            BETA_FLOOR_TAG,
-            {"witness_index": len(defect), "limit": 0.0},
-            note="the defect terms vanish; the shift lies in the two-parameter model family",
-        )
+        witness = {"witness_index": len(defect), "limit": 0.0}
+        note = "the defect terms vanish; the shift lies in the two-parameter model family"
+        return Verdict(NO, "similar_by_beta", BETA_FLOOR_TAG, witness, note=note)
     top, mass = defect[-1]
     class_gamma, (m, k) = t.growth
     m_mass, k_mass = math.frexp(mass)
@@ -118,7 +114,7 @@ def _tail_floor(t: ScalarTriplet, n_from: int) -> float:
     theta = t.nu.support_max()
     log_theta = math.log1p(theta - 1.0)
     mass_below = math.fsum(w for p, w in t.nu.atoms if p < 1.0)
-    terms = [math.fsum(saturating_ldexp(*over_square(w, p - 1.0)) for p, w in t.nu.atoms if p > 1)]
+    terms = [math.fsum(square_ratio(w, p - 1.0) for p, w in t.nu.atoms if p > 1.0)]
     for k, a in enumerate((1.0, max(t.b, 0.0), t.c + mass_below / 2.0)):
         terms.append(a * _power_peak(k, n_from, log_theta))
     return t.nu.mass_at(theta) / sum(terms)
@@ -137,7 +133,7 @@ def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
     """
     theta, mass = t.nu.atoms[-1]
     log_theta = math.log1p(theta - 1.0)
-    i1, i2 = t.nu.resolvent_integrals()
+    i1, i2 = t.resolvent
     slope, constant = t.b - i1, 1.0 - i2
     i1_abs = math.fsum(w / abs(p - 1.0) for p, w in t.nu.atoms)
     coeffs = (
@@ -146,9 +142,8 @@ def _weight_tail_error(t: ScalarTriplet, n_from: int) -> float:
         t.c,
     )
     terms = [a * _power_peak(k, n_from, log_theta) for k, a in enumerate(coeffs)]
-    below = t.nu.atoms[:-1]
-    terms += [saturating_ldexp(*over_square(w * (p / theta) ** n_from, p - 1.0)) for p, w in below]
-    err = math.fsum(terms) / saturating_ldexp(*over_square(mass, theta - 1.0))
+    terms += [square_ratio(w * (p / theta) ** n_from, p - 1.0) for p, w in t.nu.atoms[:-1]]
+    err = math.fsum(terms) / square_ratio(mass, theta - 1.0)
     return err * (1.0 + n_from * ROUNDING) + ROUNDING
 
 
@@ -174,7 +169,7 @@ def criterion_kdwq(t: ScalarTriplet) -> Verdict:
             {"theta": theta},
             note="sup of the support does not exceed 1; hypotheses not met",
         )
-    i2_above = math.fsum(saturating_ldexp(*over_square(w, p - 1.0)) for p, w in t.nu.atoms if p > 1)
+    i2_above = math.fsum(square_ratio(w, p - 1.0) for p, w in t.nu.atoms if p > 1.0)
     slope, constant = limit_coefficients(t)
     flags = {
         "a-resolvent-gap": constant < 0.0,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .core import ScalarTriplet, classify_type, limit_coefficients
-from .measures import AtomicMeasure, over_square, saturating_ldexp
+from .measures import AtomicMeasure, square_ratio
 from .verdict import INCONCLUSIVE, NO, YES, Record, Verdict, _set
 
 SUBNORMAL_TAG = "resolvent-criterion"
@@ -39,7 +39,7 @@ def is_subnormal(t: ScalarTriplet) -> Verdict:
     formal moments.
     """
     t.sequences  # InvalidTripletError unless t validates
-    i1, i2 = t.nu.resolvent_integrals()
+    i1, i2 = t.resolvent
     slope, constant = limit_coefficients(t)
     conditions = {
         "second_resolvent_at_most_one": constant >= 0.0,
@@ -56,7 +56,7 @@ def is_subnormal(t: ScalarTriplet) -> Verdict:
 
 def berger_measure(t: ScalarTriplet) -> AtomicMeasure:
     """Berger measure of a subnormal triplet (caller checks the criterion)."""
-    atoms = [(p, saturating_ldexp(*over_square(w, p - 1.0))) for p, w in t.nu.atoms]
+    atoms = [(p, square_ratio(w, p - 1.0)) for p, w in t.nu.atoms]
     mass_at_one = limit_coefficients(t)[1]
     if mass_at_one > 0.0:
         atoms.append((1.0, mass_at_one))

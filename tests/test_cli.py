@@ -154,7 +154,7 @@ class TestSubnormal:
             assert doc["model"]["berger"]["atoms"] == [[1.5, 0.5], [1.6, 0.5]]
 
     def test_defects_past_the_double_range_stay_positive(self, capsys):
-        # g_n and the beta numerators take the triplet's scale 2^-1023, so no g_n
+        # g_n and the beta numerators take the triplet's scale 2^-e, so no g_n
         # saturates: beta_0 = 2e308 prints inf and every later beta_n is positive
         spec = '{"b": 0, "c": 0, "nu": {"atoms": [[1.5, 1e308], [1.6, 1e308]]}}'
         code, doc = run_json(capsys, "classify", spec)
@@ -273,6 +273,17 @@ class TestCompare:
         code, doc = run_json(capsys, "similar", spec)
         limit = doc["criteria"]["similar_by_beta"]["witnesses"]["limit"]
         assert math.isclose(limit, (1.000001 - 1.0) ** 2, rel_tol=1e-15)
+
+    def test_quadratic_coefficient_takes_no_scale(self, capsys):
+        # b = 1e308 scales the triplet by 2^-110, which would zero c = 1e-300: K = c
+        # is read unscaled, so both classes are (1, 2, c)
+        huge = '{"b": 1e308, "c": 1e-300, "nu": {"atoms": [[0.5, 1]]}}'
+        unit = '{"b": 1, "c": 1e-300, "nu": {"atoms": [[0.5, 1]]}}'
+        code, doc = run_json(capsys, "compare", huge, unit)
+        assert (code, doc["verdict"]) == (0, "Similar")
+        witness = doc["similarity"]["witnesses"]["forward"]["witnesses"]
+        assert witness["class_lam"] == witness["class_om"] == [1.0, 2, 1e-300]
+        assert witness["limit_ratio"] == 1.0
 
     def test_coefficient_overflow_reads_its_exponent(self, capsys):
         # i1 = w / (x - 1) overflows, so L = -i1 leads the class (1, 1, K = L) and prints

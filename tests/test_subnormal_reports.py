@@ -179,3 +179,15 @@ def test_far_g_holds(report):
     """The betas past the first prefix block divide by a g_n of 0."""
     assert validate_triplet(HUGE_TOP_ATOM).is_yes
     report(HUGE_TOP_ATOM)
+
+
+# b = 1e300 scales the triplet by 2^-82, so the mass 1e-300 reads 0 and g_n, once
+# 2^-n underflows, reads 0 where gamma_n ~ 1e-300 2^n is in range
+TINY_MASS_BY_HUGE_SLOPE = ScalarTriplet(1e300, 0.0, AtomicMeasure(((2.0, 1e-300),)))
+
+
+@pytest.mark.xfail(raises=ArithmeticError, strict=True)
+def test_scale_keeps_small_masses():
+    """log gamma_3000 = log(1e-300 Q_3000(2)), which the one exponent zeroes."""
+    log_gamma = TINY_MASS_BY_HUGE_SLOPE.sequences.log_gamma(3000)
+    assert log_gamma == pytest.approx(3000 * math.log(2.0) + math.log(1e-300), rel=1e-9)
